@@ -1,0 +1,69 @@
+package main
+
+import (
+	"bufio"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+)
+
+// hostStamp identifies where and from what a result was measured.
+type hostStamp struct {
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+}
+
+func stampHost() hostStamp {
+	return hostStamp{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUModel:   cpuModel(),
+		GoVersion:  runtime.Version(),
+		Commit:     commit("."),
+	}
+}
+
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
+// commit reads the checked-out commit from root/.git without running
+// git; a checkout that is not a git repository reports "unknown".
+func commit(root string) string {
+	head, err := os.ReadFile(filepath.Join(root, ".git", "HEAD"))
+	if err != nil {
+		return "unknown"
+	}
+	ref, ok := strings.CutPrefix(strings.TrimSpace(string(head)), "ref: ")
+	if !ok {
+		return strings.TrimSpace(string(head))
+	}
+	if b, err := os.ReadFile(filepath.Join(root, ".git", ref)); err == nil {
+		return strings.TrimSpace(string(b))
+	}
+	packed, err := os.ReadFile(filepath.Join(root, ".git", "packed-refs"))
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(packed), "\n") {
+		if sha, name, ok := strings.Cut(line, " "); ok && name == ref {
+			return sha
+		}
+	}
+	return "unknown"
+}
