@@ -105,13 +105,14 @@ func BenchmarkBoundsVsMC(b *testing.B) {
 func BenchmarkSSTA(b *testing.B) {
 	for _, name := range []string{"c432", "c880", "c2670", "c6288"} {
 		b.Run(name, func(b *testing.B) {
-			d, err := Benchmark(name)
+			eng := newEngine(b)
+			d, err := eng.Benchmark(name)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := AnalyzeSSTA(d, 600); err != nil {
+				if _, err := eng.AnalyzeSSTA(context.Background(), d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -125,7 +126,8 @@ func BenchmarkSizingIteration(b *testing.B) {
 	for _, method := range []string{"brute", "accel"} {
 		for _, name := range []string{"c432", "c880"} {
 			b.Run(fmt.Sprintf("%s/%s", method, name), func(b *testing.B) {
-				d, err := Benchmark(name)
+				eng := newEngine(b)
+				d, err := eng.Benchmark(name)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -135,13 +137,11 @@ func BenchmarkSizingIteration(b *testing.B) {
 					b.StopTimer()
 					fresh := d.Clone()
 					b.StartTimer()
-					var err error
+					optimizer := "accelerated"
 					if method == "brute" {
-						_, err = OptimizeBruteForce(fresh, cfg)
-					} else {
-						_, err = OptimizeAccelerated(fresh, cfg)
+						optimizer = "brute-force"
 					}
-					if err != nil {
+					if _, err := eng.Optimize(context.Background(), fresh, optimizer, WithConfig(cfg)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -174,7 +174,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 			name = "off"
 		}
 		b.Run(name, func(b *testing.B) {
-			d, err := Benchmark("c432")
+			d, err := newEngine(b).Benchmark("c432")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func BenchmarkAblationElision(b *testing.B) {
 			name = "off"
 		}
 		b.Run(name, func(b *testing.B) {
-			d, err := Benchmark("c432")
+			d, err := newEngine(b).Benchmark("c432")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -220,13 +220,14 @@ func BenchmarkAblationElision(b *testing.B) {
 func BenchmarkGridResolution(b *testing.B) {
 	for _, bins := range []int{200, 400, 800, 1600} {
 		b.Run(fmt.Sprintf("bins%d", bins), func(b *testing.B) {
-			d, err := Benchmark("c880")
+			eng := newEngine(b, WithBins(bins))
+			d, err := eng.Benchmark("c880")
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := AnalyzeSSTA(d, bins); err != nil {
+				if _, err := eng.AnalyzeSSTA(context.Background(), d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -333,7 +334,7 @@ func BenchmarkFullReanalyze(b *testing.B) {
 					next = w
 				}
 				d.SetWidth(gate, next)
-				if _, err := AnalyzeSSTA(d, 600); err != nil {
+				if _, err := eng.AnalyzeSSTA(context.Background(), d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -346,13 +347,14 @@ func BenchmarkFullReanalyze(b *testing.B) {
 
 // BenchmarkMonteCarlo measures the Figure 10 validation cost.
 func BenchmarkMonteCarlo(b *testing.B) {
-	d, err := Benchmark("c3540")
+	eng := newEngine(b)
+	d, err := eng.Benchmark("c3540")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarlo(d, 1000, int64(i)); err != nil {
+		if _, err := eng.MonteCarlo(context.Background(), d, 1000, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -360,7 +362,7 @@ func BenchmarkMonteCarlo(b *testing.B) {
 
 // BenchmarkPathHistogram measures the exact Figure 1 path-count DP.
 func BenchmarkPathHistogram(b *testing.B) {
-	d, err := Benchmark("c3540")
+	d, err := newEngine(b).Benchmark("c3540")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -382,7 +384,8 @@ func BenchmarkHeuristicMode(b *testing.B) {
 			name = fmt.Sprintf("levels%d", levels)
 		}
 		b.Run(name, func(b *testing.B) {
-			d, err := Benchmark("c880")
+			eng := newEngine(b)
+			d, err := eng.Benchmark("c880")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -392,7 +395,7 @@ func BenchmarkHeuristicMode(b *testing.B) {
 				b.StopTimer()
 				fresh := d.Clone()
 				b.StartTimer()
-				if _, err := OptimizeAccelerated(fresh, cfg); err != nil {
+				if _, err := eng.Optimize(context.Background(), fresh, "accelerated", WithConfig(cfg)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -466,11 +469,11 @@ func BenchmarkWhatIfBatch(b *testing.B) {
 }
 
 // BenchmarkAnalyzeParallel measures the level-parallel full SSTA pass
-// against the serial reference — the scaling behind session open and
-// legacy resync.
+// against the serial reference — the scaling behind session open.
 func BenchmarkAnalyzeParallel(b *testing.B) {
+	eng := newEngine(b)
 	for _, name := range []string{"c1908", "c6288"} {
-		d, err := Benchmark(name)
+		d, err := eng.Benchmark(name)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -68,24 +68,11 @@ func TestEngineOptionValidation(t *testing.T) {
 	wantConfigError("WithBins", err)
 	_, err = New(WithParallelism(-2))
 	wantConfigError("WithParallelism", err)
-	_, err = New(WithConvolveCrossover(-1))
-	wantConfigError("WithConvolveCrossover", err)
 
 	bad := DefaultLibrary()
 	bad.WMin = -1
 	if _, err := New(WithLibrary(bad)); err == nil {
 		t.Error("invalid library accepted")
-	}
-
-	// The deprecated free function took the same unvalidated bins and
-	// panicked; it now reports the same typed error.
-	d, err := newEngine(t).Benchmark("c17")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ce *ConfigError
-	if _, err := AnalyzeSSTA(d, 0); !errors.As(err, &ce) {
-		t.Errorf("AnalyzeSSTA(d, 0) err = %v, want *ConfigError", err)
 	}
 }
 
@@ -397,10 +384,10 @@ func TestOptimizerRegistry(t *testing.T) {
 	}
 
 	// Plug in a custom strategy and drive it through the engine by name.
-	custom := OptimizerFunc{
+	custom := SessionOptimizerFunc{
 		OptName: "test-noop",
-		Run: func(ctx context.Context, d *Design, cfg Config) (*Result, error) {
-			return &Result{Method: "test-noop", Design: d}, nil
+		Run: func(ctx context.Context, s *Session, cfg Config) (*Result, error) {
+			return &Result{Method: "test-noop"}, nil
 		},
 	}
 	if err := RegisterOptimizer(custom); err != nil {
@@ -409,7 +396,7 @@ func TestOptimizerRegistry(t *testing.T) {
 	if err := RegisterOptimizer(custom); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	if err := RegisterOptimizer(OptimizerFunc{OptName: ""}); err == nil {
+	if err := RegisterOptimizer(SessionOptimizerFunc{OptName: ""}); err == nil {
 		t.Error("empty name accepted")
 	}
 	eng := newEngine(t)
@@ -466,30 +453,6 @@ func TestRegisteredVariants(t *testing.T) {
 	}
 	if heur.Iterations == 0 {
 		t.Error("heuristic-levels variant made no progress")
-	}
-}
-
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	// The free functions must behave exactly like the engine methods
-	// they wrap: same improvements, no caller mutation.
-	d, err := Benchmark("c17")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := d.TotalWidth()
-	for _, run := range []func(*Design, Config) (*Result, error){
-		OptimizeDeterministic, OptimizeBruteForce, OptimizeAccelerated,
-	} {
-		res, err := run(d, Config{MaxIterations: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.TotalWidth() != before {
-			t.Fatal("deprecated wrapper mutated the caller's design")
-		}
-		if res.Design == nil {
-			t.Fatal("deprecated wrapper lost the sized design")
-		}
 	}
 }
 

@@ -218,7 +218,7 @@ func (h *frontHeap) Pop() any {
 // propagated to the sink before anything else, so Max_S starts high and
 // prunes from the first heap pop; this only reorders evaluation and
 // cannot change the result.
-func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, ws []*sweepScratch) (innerResult, error) {
+func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, ws []*ssta.Scratch) (innerResult, error) {
 	d := a.D
 	deltaW := d.Lib.DeltaW
 	var ir innerResult
@@ -235,9 +235,9 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 	// per worker for the parallel build, plus the spare the serial heap
 	// loop reuses afterwards; fronts only retain persisted heap
 	// distributions, never arena views.
-	loopArena := ws[len(ws)-1].ar
+	loopArena := ws[len(ws)-1].Arena()
 	err := par.RunIndexed(ctx, cfg.Parallelism, len(cands), func(w, i int) error {
-		f, err := newFront(a, cfg, cands[i], ws[w].ar)
+		f, err := newFront(a, cfg, cands[i], ws[w].Arena())
 		if err != nil {
 			return err
 		}

@@ -6,14 +6,6 @@ import (
 	"testing"
 )
 
-// forceFFT routes every convolution through the FFT for the duration
-// of a test, restoring the previous setting afterwards.
-func forceFFT(t *testing.T) {
-	t.Helper()
-	prev := SetConvolveCrossover(1)
-	t.Cleanup(func() { SetConvolveCrossover(prev) })
-}
-
 // randWideDist builds a distribution with exactly n support bins of
 // random positive mass (ends guaranteed nonzero), normalized to 1.
 func randWideDist(rng *rand.Rand, dt float64, n int) *Dist {
@@ -67,7 +59,7 @@ func compareFFTToDirect(t *testing.T, label string, a, b *Dist, tol float64) {
 const fftTestTol = 1e-12
 
 // TestConvolveFFTMatchesDirect pins FFT-vs-direct agreement across
-// support widths straddling the crossover, including the degenerate
+// support widths straddling the dispatch threshold, including the degenerate
 // single-bin and impulse cases.
 func TestConvolveFFTMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -79,8 +71,8 @@ func TestConvolveFFTMatchesDirect(t *testing.T) {
 		{3, 17},
 		{64, 64},
 		{100, 1000}, // asymmetric widths
-		{767, 769},  // straddling crossoverFloor
-		{768, 768},  // exactly at the floor
+		{767, 769},  // straddling fftMinSupport
+		{768, 768},  // exactly at the threshold
 		{800, 880},  // the 1600-bin benchmark shape
 		{1000, 1600},
 	}
@@ -103,53 +95,43 @@ func TestConvolveFFTMatchesDirect(t *testing.T) {
 	compareFFTToDirect(t, "gap", trim(0.001, -5, gap), randWideDist(rng, 0.001, 800), fftTestTol)
 }
 
-// TestConvolveFFTDispatch pins the crossover policy itself.
+// TestConvolveFFTDispatch pins the routing policy: a pure function of
+// the two operand widths, keyed on the smaller one.
 func TestConvolveFFTDispatch(t *testing.T) {
-	// The floor guarantees exactness for every grid at or below the
+	// The threshold guarantees exactness for every grid at or below the
 	// default 600-bin budget: SuggestDT spans ~1.3× the estimated max
 	// delay across the budget, so supports top out near 0.96·bins ≈
-	// 578 bins at 600 — comfortably under the floor. Pin the margin.
-	if crossoverFloor < 600 {
-		t.Fatalf("crossoverFloor %d < 600: supports on default-budget grids could reach the FFT", crossoverFloor)
+	// 578 bins at 600 — comfortably under it. Pin the margin.
+	if fftMinSupport < 600 {
+		t.Fatalf("fftMinSupport %d < 600: supports on default-budget grids could reach the FFT", fftMinSupport)
 	}
-
-	// Below the floor the dispatch must answer "direct" without even
-	// calibrating; the smaller operand governs.
-	prev := SetConvolveCrossover(0)
-	defer SetConvolveCrossover(prev)
-	if useFFT(crossoverFloor-1, 100000) {
-		t.Fatal("useFFT fired below the floor under auto-calibration")
+	cases := []struct {
+		na, nb int
+		want   bool
+	}{
+		{1, 1, false},
+		{fftMinSupport - 1, 100000, false},
+		{100000, fftMinSupport - 1, false}, // the smaller operand governs
+		{fftMinSupport, fftMinSupport, true},
+		{fftMinSupport, 100000, true},
+		{5000, 5000, true},
 	}
-	if useFFT(100000, crossoverFloor-1) {
-		t.Fatal("useFFT must key on the smaller operand")
-	}
-
-	// An explicit override beats the floor in both directions.
-	SetConvolveCrossover(1)
-	if !useFFT(1, 1) {
-		t.Fatal("SetConvolveCrossover(1) did not force the FFT route")
-	}
-	SetConvolveCrossover(1 << 20)
-	if useFFT(5000, 5000) {
-		t.Fatal("a high explicit crossover did not suppress the FFT route")
-	}
-
-	// The resolved threshold is never below the floor when automatic.
-	SetConvolveCrossover(0)
-	if cx := ConvolveCrossover(); cx < crossoverFloor {
-		t.Fatalf("auto-calibrated crossover %d below floor %d", cx, crossoverFloor)
+	for _, tc := range cases {
+		for rep := 0; rep < 2; rep++ { // same answer every time: no hidden state
+			if got := useFFT(tc.na, tc.nb); got != tc.want {
+				t.Fatalf("useFFT(%d, %d) = %v, want %v", tc.na, tc.nb, got, tc.want)
+			}
+		}
 	}
 }
 
 // TestConvolveDispatchBitIdenticalBelowCrossover verifies the whole
-// point of the crossover: ConvolveInto on sub-crossover supports is
-// the direct kernel, bit for bit — the property that keeps the golden
-// traces hex-identical across this change.
+// point of the threshold: ConvolveInto on narrower supports is the
+// direct kernel, bit for bit — the property that keeps the golden
+// traces hex-identical.
 func TestConvolveDispatchBitIdenticalBelowCrossover(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	prev := SetConvolveCrossover(0)
-	defer SetConvolveCrossover(prev)
-	for _, n := range []int{1, 60, 400, 578, crossoverFloor - 1} {
+	for _, n := range []int{1, 60, 400, 578, fftMinSupport - 1} {
 		a := randWideDist(rng, 0.01, n)
 		b := randWideDist(rng, 0.01, (n+1)/2)
 		bitIdentical(t, "dispatch", convolveDirectInto(nil, a, b), ConvolveInto(nil, a, b))
@@ -178,10 +160,12 @@ func TestConvolveFFTArenaAllocsZero(t *testing.T) {
 // path (SubConvolve is Convolve against the negated operand) and still
 // matches its direct form.
 func TestSubConvolveFFT(t *testing.T) {
-	forceFFT(t)
 	rng := rand.New(rand.NewSource(11))
 	a := randWideDist(rng, 0.001, 900)
 	b := randWideDist(rng, 0.001, 850)
+	if !useFFT(a.NumBins(), b.NumBins()) {
+		t.Fatalf("%d×%d-bin operands do not reach the FFT route", a.NumBins(), b.NumBins())
+	}
 	direct := convolveDirectInto(nil, a, NegInto(nil, b))
 	fft := SubConvolveInto(nil, a, b)
 	if direct.I0() != fft.I0() || direct.NumBins() != fft.NumBins() {
@@ -197,7 +181,7 @@ func TestSubConvolveFFT(t *testing.T) {
 
 // FuzzConvolveFFT drives randomized operand shapes through both routes
 // and demands the full agreement contract at every width, including
-// widths far below and above the crossover.
+// widths far below and above the dispatch threshold.
 func FuzzConvolveFFT(f *testing.F) {
 	f.Add(int64(1), uint16(1), uint16(1))
 	f.Add(int64(2), uint16(1), uint16(300))

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"statsize/internal/design"
 	"statsize/internal/dist"
@@ -55,12 +56,12 @@ type Analysis struct {
 	required []*dist.Dist
 	deadline *dist.Dist
 
-	// scratch is the kernel arena of the serial mutating passes
-	// (ResizeCommit, ComputeRequired). Those passes already require
-	// exclusive access to the analysis, so one arena suffices; the
-	// read-only concurrent paths (WhatIf) carry their own Scratch.
-	// Not part of Snapshot/Restore state.
-	scratch *dist.Arena
+	// scratch serves the serial mutating passes (ResizeCommit,
+	// ComputeRequired). Those passes already require exclusive access
+	// to the analysis, so one suffices; the read-only concurrent paths
+	// (WhatIf) carry their own Scratch. Not part of Snapshot/Restore
+	// state.
+	scratch *Scratch
 }
 
 // Analyze runs a full statistical timing analysis on grid dt with one
@@ -92,7 +93,7 @@ func AnalyzeParallel(ctx context.Context, d *design.Design, dt float64, workers 
 		DT:      dt,
 		arrival: make([]*dist.Dist, g.NumNodes()),
 		edge:    make([]*dist.Dist, g.NumEdges()),
-		scratch: dist.NewArena(),
+		scratch: NewScratch(),
 	}
 	// One pool serves the edge builds and every level of the forward
 	// pass: levels are numerous and individually small, so worker
@@ -231,8 +232,9 @@ func (a *Analysis) computeArrival(
 	return acc
 }
 
-// ArrivalWithOverlay exposes computeArrival for the optimizer's
-// perturbation fronts, on the allocating path.
+// ArrivalWithOverlay exposes computeArrival on the allocating path:
+// the reference the overlay and what-if tests check propagation
+// against.
 func (a *Analysis) ArrivalWithOverlay(
 	n graph.NodeID,
 	arrOverlay func(graph.NodeID) *dist.Dist,
@@ -242,9 +244,10 @@ func (a *Analysis) ArrivalWithOverlay(
 }
 
 // ArrivalWithOverlayInto is ArrivalWithOverlay computing through the
-// caller's arena: the returned distribution is scratch (Persist before
-// retaining it) unless it is one of the base/overlay operands returned
-// by a dominance shortcut.
+// caller's arena, for the accelerated optimizer's perturbation fronts:
+// the returned distribution is scratch (Persist before retaining it)
+// unless it is one of the base/overlay operands returned by a dominance
+// shortcut.
 func (a *Analysis) ArrivalWithOverlayInto(
 	n graph.NodeID,
 	arrOverlay func(graph.NodeID) *dist.Dist,
@@ -289,58 +292,45 @@ func (a *Analysis) RefreshGate(gid netlist.GateID) error {
 // the initial perturbation scope of the paper's Initialize procedure
 // (Figure 7, step 1).
 func AffectedGates(d *design.Design, x netlist.GateID) []netlist.GateID {
-	out := []netlist.GateID{x}
-	seen := map[netlist.GateID]bool{x: true}
+	return appendAffectedGates(nil, d, x)
+}
+
+// appendAffectedGates appends AffectedGates(d, x) to dst. A gate has a
+// handful of fanin drivers, so duplicates are caught by a linear scan.
+func appendAffectedGates(dst []netlist.GateID, d *design.Design, x netlist.GateID) []netlist.GateID {
+	dst = append(dst, x)
+	first := len(dst) - 1
 	for _, in := range d.NL.Gate(x).Ins {
-		if drv := d.NL.Driver(in); drv != netlist.NoGate && !seen[drv] {
-			seen[drv] = true
-			out = append(out, drv)
+		if drv := d.NL.Driver(in); drv != netlist.NoGate && !slices.Contains(dst[first:], drv) {
+			dst = append(dst, drv)
 		}
 	}
-	return out
+	return dst
 }
 
 // ResizeCommit makes the analysis consistent after gate x has been
 // resized in the design: refreshes the affected delay caches and
 // recomputes arrivals downstream, pruning nodes whose arrival is
 // unchanged. Returns the number of nodes recomputed (a measure of the
-// incremental saving versus a full pass). The context is checked
-// periodically; on cancellation the analysis is left partially updated —
-// callers that need all-or-nothing semantics restore from a Snapshot.
+// incremental saving versus a full pass). The recompute is the elided
+// propagation WhatIf runs, over the refreshed base delays, writing each
+// changed arrival straight into the analysis. The context is checked
+// periodically; on cancellation the analysis is left partially updated
+// — callers that need all-or-nothing semantics restore from a
+// Snapshot.
 func (a *Analysis) ResizeCommit(ctx context.Context, x netlist.GateID) (int, error) {
-	g := a.D.E.G
-	affected := AffectedGates(a.D, x)
-	for _, gid := range affected {
+	sc := a.scratch
+	sc.begin(a.D.E.G)
+	sc.gates = appendAffectedGates(sc.gates[:0], a.D, x)
+	for _, gid := range sc.gates {
 		if err := a.RefreshGate(gid); err != nil {
 			return 0, err
 		}
 	}
 	a.InvalidateRequired()
-	// Seed the worklist with the output nodes of all affected gates.
-	dirty := make(map[graph.NodeID]bool)
-	for _, gid := range affected {
-		dirty[a.D.E.NodeOf[a.D.NL.Gate(gid).Out]] = true
-	}
-	recomputed := 0
-	for _, n := range g.Topo() {
-		if !dirty[n] {
-			continue
-		}
-		if recomputed%cancelCheckStride == 0 && ctx.Err() != nil {
-			return recomputed, fmt.Errorf("ssta: resize commit canceled: %w", ctx.Err())
-		}
-		// Per-node arena cycle: intermediates die here, the surviving
-		// arrival is compacted onto the heap before being retained.
-		a.scratch.Reset()
-		next := a.computeArrival(n, nil, nil, a.scratch)
-		recomputed++
-		if dist.ApproxEqual(next, a.arrival[n], 0) {
-			continue // perturbation died out on this branch
-		}
-		a.arrival[n] = next.Persist()
-		for _, eid := range g.Out(n) {
-			dirty[g.EdgeAt(eid).To] = true
-		}
+	recomputed, err := a.propagate(ctx, sc, commit)
+	if err != nil {
+		return recomputed, fmt.Errorf("ssta: resize commit canceled: %w", err)
 	}
 	return recomputed, nil
 }
@@ -353,64 +343,200 @@ func (a *Analysis) ResizeCommit(ctx context.Context, x netlist.GateID) (int, err
 // distributions are bit-identical to what the historical
 // mutate-evaluate-restore route (design.WithWidth) produced. Because
 // nothing is written, any number of goroutines may evaluate different
-// candidates concurrently against one quiescent analysis.
+// candidates concurrently against one quiescent analysis. The
+// distributions come from the design's delay memo cache, so a sweep
+// revisiting the same discrete widths constructs none.
 func (a *Analysis) PerturbedDelays(x netlist.GateID, w float64) (map[graph.EdgeID]*dist.Dist, error) {
 	out := make(map[graph.EdgeID]*dist.Dist)
-	if err := a.PerturbedDelaysInto(x, w, out); err != nil {
+	err := a.perturbedDelays(AffectedGates(a.D, x), x, w, func(e graph.EdgeID, dd *dist.Dist) { out[e] = dd })
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// PerturbedDelaysInto fills a caller-owned (typically scratch-reused)
-// map instead of allocating one; the caller clears it between
-// candidates. The distributions themselves come from the design's
-// delay memo cache, so a sweep revisiting the same discrete widths
-// performs no distribution construction at all.
-func (a *Analysis) PerturbedDelaysInto(x netlist.GateID, w float64, out map[graph.EdgeID]*dist.Dist) error {
+// perturbedDelays hands set every pin-edge delay of the affected gates
+// under the hypothetical width w of gate x.
+func (a *Analysis) perturbedDelays(affected []netlist.GateID, x netlist.GateID, w float64, set func(graph.EdgeID, *dist.Dist)) error {
 	d := a.D
 	overrides := map[netlist.GateID]float64{x: w}
-	for _, gid := range AffectedGates(d, x) {
+	for _, gid := range affected {
 		for _, eid := range d.E.GateEdges[gid] {
 			dd, err := d.EdgeDelayDistAtWidths(a.DT, eid, overrides)
 			if err != nil {
 				return err
 			}
-			out[eid] = dd
+			set(eid, dd)
 		}
 	}
 	return nil
 }
 
-// Scratch bundles the reusable state of repeated read-only perturbation
-// evaluations (WhatIf): a kernel arena plus the overlay maps, all
-// recycled between calls so a warm candidate sweep allocates only what
-// escapes (the persisted sink distribution). One Scratch serves one
-// goroutine at a time; parallel sweeps hold one per worker.
+// Scratch is the reusable state of the perturbation propagation shared
+// by WhatIf, the brute-force sweep (WhatIfFull) and ResizeCommit: a
+// kernel arena, the current candidate's affected gates, and dense
+// per-node and per-edge overlay slots. A slot is live only while its
+// stamp equals the scratch's epoch, so starting a propagation is one
+// increment rather than a clear, and a warm sweep allocates only what
+// escapes (the persisted sink distribution). The slots are sized on
+// the first propagation, not at construction, so an idle Scratch costs
+// one empty arena. One Scratch serves one goroutine at a time; parallel
+// sweeps hold one per worker.
 type Scratch struct {
-	ar      *dist.Arena
-	delays  map[graph.EdgeID]*dist.Dist
-	overlay map[graph.NodeID]*dist.Dist
-	dirty   map[graph.NodeID]bool
+	ar    *dist.Arena
+	gates []netlist.GateID
+
+	epoch     uint32
+	nodeStamp []uint32     // == epoch: the node is dirty this propagation
+	arr       []*dist.Dist // perturbed arrival of a dirty node; nil while it equals the base
+	edgeStamp []uint32     // == epoch: delays holds the candidate's perturbed delay
+	delays    []*dist.Dist
 }
 
-// NewScratch returns an empty Scratch; capacity accumulates with use.
-func NewScratch() *Scratch {
-	return &Scratch{
-		ar:      dist.NewArena(),
-		delays:  make(map[graph.EdgeID]*dist.Dist),
-		overlay: make(map[graph.NodeID]*dist.Dist),
-		dirty:   make(map[graph.NodeID]bool),
+// NewScratch returns an empty Scratch; its slots are sized on first use.
+func NewScratch() *Scratch { return &Scratch{ar: dist.NewArena()} }
+
+// Arena returns the scratch's kernel arena, for callers that run their
+// own propagation (the accelerated optimizer's fronts) on the same
+// per-worker state.
+func (sc *Scratch) Arena() *dist.Arena { return sc.ar }
+
+// begin starts a propagation over graph g: rewinds the arena, sizes the
+// slots to g on first use and opens a fresh epoch, which retires every
+// slot of the previous propagation at once.
+func (sc *Scratch) begin(g *graph.Graph) {
+	sc.ar.Reset()
+	if len(sc.nodeStamp) != g.NumNodes() || len(sc.edgeStamp) != g.NumEdges() {
+		sc.nodeStamp = make([]uint32, g.NumNodes())
+		sc.arr = make([]*dist.Dist, g.NumNodes())
+		sc.edgeStamp = make([]uint32, g.NumEdges())
+		sc.delays = make([]*dist.Dist, g.NumEdges())
+		sc.epoch = 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: old stamps could alias the new epoch
+		clear(sc.nodeStamp)
+		clear(sc.edgeStamp)
+		sc.epoch = 1
 	}
 }
 
-// reset rewinds the arena and empties the maps while keeping their
-// buckets — the zero-allocation warm path.
-func (sc *Scratch) reset() {
-	sc.ar.Reset()
-	clear(sc.delays)
-	clear(sc.overlay)
-	clear(sc.dirty)
+// markDirty schedules node n for recomputation in this propagation.
+func (sc *Scratch) markDirty(n graph.NodeID) {
+	if sc.nodeStamp[n] != sc.epoch {
+		sc.nodeStamp[n] = sc.epoch
+		sc.arr[n] = nil
+	}
+}
+
+func (sc *Scratch) dirty(n graph.NodeID) bool { return sc.nodeStamp[n] == sc.epoch }
+
+// arrival returns node n's perturbed arrival, or nil where the base
+// analysis applies.
+func (sc *Scratch) arrival(n graph.NodeID) *dist.Dist {
+	if sc.nodeStamp[n] != sc.epoch {
+		return nil
+	}
+	return sc.arr[n]
+}
+
+// setDelay installs edge e's perturbed delay for this propagation.
+func (sc *Scratch) setDelay(e graph.EdgeID, dd *dist.Dist) {
+	sc.edgeStamp[e] = sc.epoch
+	sc.delays[e] = dd
+}
+
+// delay returns edge e's perturbed delay, or nil where the base
+// analysis applies.
+func (sc *Scratch) delay(e graph.EdgeID) *dist.Dist {
+	if sc.edgeStamp[e] != sc.epoch {
+		return nil
+	}
+	return sc.delays[e]
+}
+
+// sweep selects how propagate treats the graph.
+type sweep uint8
+
+const (
+	// elided visits only dirty nodes and ends the perturbation on a
+	// branch where the arrival is bit-equal to the base: all perturbed
+	// fanins are final, so nothing downstream can differ. The overlay
+	// stays in the scratch (what-if).
+	elided sweep = iota
+	// full visits every node but the source and keeps every arrival in
+	// the overlay — the complete SSTA run per candidate of Section 3.1,
+	// whose node count is the cost model of Table 2 (brute force). The
+	// sink is bit-identical to elided's.
+	full
+	// commit is elided with each changed arrival persisted straight
+	// into the analysis, so the arena only ever holds one node's
+	// intermediates (resize).
+	commit
+)
+
+// propagate is the one perturbation step behind ResizeCommit, WhatIf
+// and brute-force sizing: max and convolve over the overlay the caller
+// loaded into sc (sc.gates plus any perturbed delays), in topological
+// order. The affected gates' outputs seed the dirty set. Returns the
+// number of arrivals computed; on cancellation, the bare context error.
+func (a *Analysis) propagate(ctx context.Context, sc *Scratch, mode sweep) (int, error) {
+	g := a.D.E.G
+	for _, gid := range sc.gates {
+		sc.markDirty(a.D.E.NodeOf[a.D.NL.Gate(gid).Out])
+	}
+	visited := 0
+	for _, n := range g.Topo() {
+		if n == g.Source() || mode != full && !sc.dirty(n) {
+			continue
+		}
+		if visited%cancelCheckStride == 0 && ctx.Err() != nil {
+			return visited, ctx.Err()
+		}
+		if mode == commit {
+			sc.ar.Reset() // only persisted arrivals outlive their node
+		}
+		pert := a.computeArrival(n, sc.arrival, sc.delay, sc.ar)
+		visited++
+		if mode != full && dist.ApproxEqual(pert, a.arrival[n], 0) {
+			continue // perturbation died out on this branch
+		}
+		if mode == commit {
+			a.arrival[n] = pert.Persist()
+		} else {
+			sc.markDirty(n)
+			//lint:allow statlint/scratchescape the overlay slot is scratch-scoped: retired with sc.ar by the next begin, only the persisted sink escapes
+			sc.arr[n] = pert
+		}
+		if mode != full {
+			for _, eid := range g.Out(n) {
+				sc.markDirty(g.EdgeAt(eid).To)
+			}
+		}
+	}
+	return visited, nil
+}
+
+// whatIf loads candidate (x, w) into sc, propagates it, and returns the
+// persisted perturbed sink with the number of arrivals computed.
+func (a *Analysis) whatIf(ctx context.Context, x netlist.GateID, w float64, sc *Scratch, mode sweep) (*dist.Dist, int, error) {
+	if sc == nil {
+		sc = NewScratch()
+	}
+	g := a.D.E.G
+	sc.begin(g)
+	sc.gates = appendAffectedGates(sc.gates[:0], a.D, x)
+	if err := a.perturbedDelays(sc.gates, x, w, sc.setDelay); err != nil {
+		return nil, 0, err
+	}
+	visited, err := a.propagate(ctx, sc, mode)
+	if err != nil {
+		return nil, visited, fmt.Errorf("ssta: what-if canceled: %w", err)
+	}
+	if o := sc.arrival(g.Sink()); o != nil {
+		return o.Persist(), visited, nil
+	}
+	return a.arrival[g.Sink()], visited, nil
 }
 
 // WhatIf propagates the perturbation of resizing gate x to width w
@@ -430,49 +556,21 @@ func (a *Analysis) WhatIf(ctx context.Context, x netlist.GateID, w float64) (*di
 }
 
 // WhatIfScratch is WhatIf evaluating through a reusable Scratch: the
-// perturbation overlays live in the scratch arena for the duration of
-// the call (no reset until the next call on the same Scratch), and only
-// the returned sink distribution is compacted onto the heap. A nil
-// scratch allocates a transient one — semantically identical, just not
+// perturbation overlays live in the scratch for the duration of the
+// call (until the next call on the same Scratch), and only the
+// returned sink distribution is compacted onto the heap. A nil scratch
+// allocates a transient one — semantically identical, just not
 // amortized. The returned distribution is always safe to retain.
 func (a *Analysis) WhatIfScratch(ctx context.Context, x netlist.GateID, w float64, sc *Scratch) (*dist.Dist, int, error) {
-	if sc == nil {
-		sc = NewScratch()
-	}
-	sc.reset()
-	g := a.D.E.G
-	if err := a.PerturbedDelaysInto(x, w, sc.delays); err != nil {
-		return nil, 0, err
-	}
-	overlay, dirty := sc.overlay, sc.dirty
-	for _, gid := range AffectedGates(a.D, x) {
-		dirty[a.D.E.NodeOf[a.D.NL.Gate(gid).Out]] = true
-	}
-	arrOverlay := func(n graph.NodeID) *dist.Dist { return overlay[n] }
-	delayOverlay := func(e graph.EdgeID) *dist.Dist { return sc.delays[e] }
-	visited := 0
-	for _, n := range g.Topo() {
-		if !dirty[n] {
-			continue
-		}
-		if visited%cancelCheckStride == 0 && ctx.Err() != nil {
-			return nil, visited, fmt.Errorf("ssta: what-if canceled: %w", ctx.Err())
-		}
-		pert := a.computeArrival(n, arrOverlay, delayOverlay, sc.ar)
-		visited++
-		if dist.ApproxEqual(pert, a.arrival[n], 0) {
-			continue // perturbation died out on this branch
-		}
-		//lint:allow statlint/scratchescape the overlay map is scratch-scoped: reset together with sc.ar, only the persisted sink below escapes
-		overlay[n] = pert
-		for _, eid := range g.Out(n) {
-			dirty[g.EdgeAt(eid).To] = true
-		}
-	}
-	if o := overlay[g.Sink()]; o != nil {
-		return o.Persist(), visited, nil
-	}
-	return a.arrival[g.Sink()], visited, nil
+	return a.whatIf(ctx, x, w, sc, elided)
+}
+
+// WhatIfFull is WhatIfScratch without elision: the perturbation is
+// propagated through every node of the graph — the brute-force
+// evaluation of Section 3.1. The sink distribution is bit-identical to
+// WhatIfScratch's; the visit count is always every node but the source.
+func (a *Analysis) WhatIfFull(ctx context.Context, x netlist.GateID, w float64, sc *Scratch) (*dist.Dist, int, error) {
+	return a.whatIf(ctx, x, w, sc, full)
 }
 
 // ComputeRequired runs the backward required-time pass: the deadline
@@ -504,17 +602,18 @@ func (a *Analysis) ComputeRequired(ctx context.Context, deadline *dist.Dist) err
 		// SubConvolve negation/convolution temporaries and losing
 		// MinIndep accumulators stay in scratch, the surviving required
 		// time is compacted before retention.
-		a.scratch.Reset()
+		ar := a.scratch.ar
+		ar.Reset()
 		var acc *dist.Dist
 		for _, eid := range g.Out(n) {
 			t := req[g.EdgeAt(eid).To]
 			if dd := a.edge[eid]; dd != nil {
-				t = dist.SubConvolveInto(a.scratch, t, dd)
+				t = dist.SubConvolveInto(ar, t, dd)
 			}
 			if acc == nil {
 				acc = t
 			} else {
-				acc = dist.MinIndepInto(a.scratch, acc, t)
+				acc = dist.MinIndepInto(ar, acc, t)
 			}
 		}
 		if acc != nil {

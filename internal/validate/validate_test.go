@@ -12,8 +12,11 @@ import (
 
 	"statsize/internal/cell"
 	"statsize/internal/circuitgen"
+	"statsize/internal/design"
 	"statsize/internal/dist"
+	"statsize/internal/graph"
 	"statsize/internal/montecarlo"
+	"statsize/internal/ssta"
 )
 
 // corpusN overrides the corpus size: `go test ./internal/validate
@@ -55,26 +58,67 @@ func TestCorpus(t *testing.T) {
 	}
 }
 
-// TestCorpusFFTForced reruns the oracle with every convolution routed
-// through the FFT fast path (crossover forced to 1): the DKW bounds
-// against Monte Carlo must hold identically, proving the FFT route is
-// a drop-in numeric replacement and not just close-on-average. A
-// smaller corpus keeps the double Monte Carlo cost in budget; the
-// ISCAS replicas stay in because their deep topologies chain the most
-// convolutions.
-func TestCorpusFFTForced(t *testing.T) {
-	prev := dist.SetConvolveCrossover(1)
-	defer dist.SetConvolveCrossover(prev)
+// wideGridBins is a grid fine enough that normal dispatch sends most
+// edge convolutions of c432 through the FFT route, which no grid at or
+// below the default 600-bin budget reaches.
+const wideGridBins = 65536
 
+// fftMinSupport mirrors the dispatch threshold of package dist: a
+// convolution takes the FFT route when both operand supports span at
+// least this many bins.
+const fftMinSupport = 768
+
+// TestOracleWideGridFFTRoute runs the oracle where the FFT route runs
+// by normal dispatch, not by forcing it: c432 at wideGridBins. The DKW
+// bounds against Monte Carlo must hold exactly as on the default grid,
+// so the FFT is a drop-in numeric replacement there, not just
+// close-on-average. The test first checks that the grid really routes
+// most edge convolutions to the FFT.
+func TestOracleWideGridFFTRoute(t *testing.T) {
 	lib := cell.Default180nm()
-	opts := testOptions(t)
-	opts.Corpus.N = 10
-	sum, err := Run(context.Background(), lib, opts)
+	sp, ok := circuitgen.ByName("c432")
+	if !ok {
+		t.Fatal("c432 missing from the replica suite")
+	}
+	nl, err := circuitgen.Generate(lib, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sum.Ok() {
-		t.Fatalf("validation failures with FFT forced on:\n%s", sum.Report())
+	d, err := design.New(nl, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	a, err := ssta.Analyze(ctx, d, d.SuggestDT(wideGridBins))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.E.G
+	convs, viaFFT := 0, 0
+	for e := 0; e < g.NumEdges(); e++ {
+		delay := a.EdgeDelay(graph.EdgeID(e))
+		if delay == nil {
+			continue // zero-delay source/sink arc: no convolution
+		}
+		convs++
+		if min(a.Arrival(g.EdgeAt(graph.EdgeID(e)).From).NumBins(), delay.NumBins()) >= fftMinSupport {
+			viaFFT++
+		}
+	}
+	t.Logf("%d of %d edge convolutions take the FFT route at %d bins", viaFFT, convs, wideGridBins)
+	if 2*viaFFT < convs {
+		t.Fatalf("only %d of %d edge convolutions reach the FFT route at %d bins", viaFFT, convs, wideGridBins)
+	}
+
+	cfg := DefaultOracleConfig()
+	cfg.Bins = wideGridBins
+	rep, err := RunOracleOn(ctx, d, sp.Name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log(rep)
+	if !rep.Pass {
+		t.Fatalf("oracle failed on the FFT route: %s", rep)
 	}
 }
 
