@@ -468,8 +468,9 @@ func BenchmarkWhatIfBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeParallel measures the level-parallel full SSTA pass
-// against the serial reference — the scaling behind session open.
+// BenchmarkAnalyzeParallel measures the full SSTA pass (ordered-claim
+// forward workers) against the serial reference — the scaling behind
+// session open.
 func BenchmarkAnalyzeParallel(b *testing.B) {
 	eng := newEngine(b)
 	for _, name := range []string{"c1908", "c6288"} {

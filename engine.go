@@ -93,12 +93,12 @@ func WithBins(n int) Option {
 func WithObjective(o Objective) Option { return func(e *Engine) { e.objective = o } }
 
 // WithParallelism bounds the worker count of every parallel path the
-// engine drives: batch APIs such as OptimizeSuite, the level-parallel
-// SSTA pass behind Open, Session.WhatIfBatch evaluation, and the
-// per-candidate sweeps inside the brute-force and accelerated
-// optimizers. The worker count never changes results — all parallel
-// evaluation is mutation-free and merges in deterministic order — only
-// how fast they arrive. The default is GOMAXPROCS; 1 forces fully
+// engine drives: batch APIs such as OptimizeSuite, the SSTA pass behind
+// Open (its edge stage and ordered-claim forward workers),
+// Session.WhatIfBatch evaluation, and the per-candidate sweeps inside
+// the brute-force and accelerated optimizers. The worker count never
+// changes results — all parallel evaluation is mutation-free and merges
+// in deterministic order — only how fast they arrive. The default is GOMAXPROCS; 1 forces fully
 // serial evaluation.
 func WithParallelism(n int) Option { return func(e *Engine) { e.parallelism = n } }
 
@@ -215,7 +215,8 @@ func (e *Engine) NewDesign(nl *Netlist) (*Design, error) {
 func (e *Engine) AnalyzeSTA(d *Design) *STAResult { return sta.Analyze(d) }
 
 // AnalyzeSSTA runs statistical static timing analysis at the engine's
-// grid resolution, level-parallel across the engine's worker bound.
+// grid resolution; the forward pass's workers claim nodes in level
+// order, up to the engine's worker bound.
 func (e *Engine) AnalyzeSSTA(ctx context.Context, d *Design) (*Analysis, error) {
 	return ssta.AnalyzeParallel(ctx, d, d.SuggestDT(e.bins), e.parallelism)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"statsize/internal/cell"
 	"statsize/internal/dist"
@@ -52,15 +53,28 @@ const delayShardCap = 8 << 10
 // DESIGN.md, "Memory model".)
 type DelayCache struct {
 	shards  [delayShards]delayShard
-	hits    atomic.Uint64
-	misses  atomic.Uint64
 	flushes atomic.Uint64
 }
 
+// delayShard is one lock-striped slice of the cache. It carries its own
+// hit/miss counters, padded with the lock onto a cache line of their
+// own: a single global counter pair would be written by every lookup
+// from every worker and bounce one line between all of them.
 type delayShard struct {
-	mu sync.RWMutex
-	m  map[delayKey]*dist.Dist
+	delayShardState
+	_ [cacheLine - unsafe.Sizeof(delayShardState{})%cacheLine]byte
 }
+
+type delayShardState struct {
+	mu     sync.RWMutex
+	m      map[delayKey]*dist.Dist
+	hits   atomic.Uint64
+	misses atomic.Uint64
+}
+
+// cacheLine is the padding unit of delayShard (x86-64 and most arm64
+// cores).
+const cacheLine = 64
 
 // NewDelayCache returns an empty cache.
 func NewDelayCache() *DelayCache {
@@ -98,10 +112,10 @@ func (c *DelayCache) DelayDist(lib *cell.Library, dt float64, kind cell.Kind, pi
 	d, ok := sh.m[k]
 	sh.mu.RUnlock()
 	if ok {
-		c.hits.Add(1)
+		sh.hits.Add(1)
 		return d, nil
 	}
-	c.misses.Add(1)
+	sh.misses.Add(1)
 	d, err := lib.DelayDist(dt, kind, pin, w, load)
 	if err != nil {
 		return nil, err
@@ -123,7 +137,11 @@ func (c *DelayCache) DelayDist(lib *cell.Library, dt float64, kind cell.Kind, pi
 // count under a lattice-respecting workload means the cache is being
 // fed continuous widths and is cycling instead of converging.
 func (c *DelayCache) Stats() (hits, misses, flushes uint64) {
-	return c.hits.Load(), c.misses.Load(), c.flushes.Load()
+	for i := range c.shards {
+		hits += c.shards[i].hits.Load()
+		misses += c.shards[i].misses.Load()
+	}
+	return hits, misses, c.flushes.Load()
 }
 
 // Len returns the number of cached entries across all shards.

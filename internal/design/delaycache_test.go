@@ -255,3 +255,37 @@ func TestDelayCacheFlushCounter(t *testing.T) {
 		t.Errorf("re-query after flush should miss: misses %d -> %d", misses, misses2)
 	}
 }
+
+// TestDelayCacheConcurrentStatsConserved: with the hit/miss counters
+// sharded, every lookup from every goroutine is still counted exactly
+// once — hits + misses equals the number of lookups made.
+func TestDelayCacheConcurrentStatsConserved(t *testing.T) {
+	const goroutines, lookups = 8, 500
+	c := NewDelayCache()
+	lib := cell.Default180nm()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < lookups; i++ {
+				// 40 distinct widths spread the lookups over the shards
+				// and mix misses (first sight, including racing first
+				// sights) with hits.
+				w := 1 + 0.5*float64((g+i)%40)
+				if _, err := c.DelayDist(lib, 0.01, cell.NAND2, i%2, w, 5.0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	hits, misses, _ := c.Stats()
+	if hits+misses != goroutines*lookups {
+		t.Errorf("hits %d + misses %d = %d, want %d lookups", hits, misses, hits+misses, goroutines*lookups)
+	}
+	if misses < uint64(c.Len()) {
+		t.Errorf("misses %d below the %d distinct entries", misses, c.Len())
+	}
+}

@@ -68,6 +68,7 @@ type Graph struct {
 	in, out      [][]EdgeID
 	level        []int32 // longest edge distance from source
 	topo         []NodeID
+	levelOrder   []NodeID
 	maxLevel     int32
 }
 
@@ -157,7 +158,27 @@ func (g *Graph) computeOrder() error {
 		}
 	}
 	g.maxLevel = g.level[g.sink]
+	g.levelOrder = g.sortByLevel()
 	return nil
+}
+
+// sortByLevel counting-sorts the topological order by level; the sort
+// is stable, so nodes within one level keep their topological order.
+func (g *Graph) sortByLevel() []NodeID {
+	start := make([]int, g.maxLevel+2)
+	for _, l := range g.level {
+		start[l+1]++
+	}
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	out := make([]NodeID, len(g.topo))
+	for _, n := range g.topo {
+		l := g.level[n]
+		out[start[l]] = n
+		start[l]++
+	}
+	return out
 }
 
 // NumNodes returns the node count.
@@ -193,6 +214,12 @@ func (g *Graph) MaxLevel() int { return int(g.maxLevel) }
 // Topo returns a topological order of all nodes. The slice is shared;
 // callers must not mutate it.
 func (g *Graph) Topo() []NodeID { return g.topo }
+
+// LevelOrder returns every node sorted by ascending level, topological
+// order within a level. An edge strictly increases the level, so every
+// edge's From precedes its To, and the source (the only level-0 node)
+// comes first. The slice is shared; callers must not mutate it.
+func (g *Graph) LevelOrder() []NodeID { return g.levelOrder }
 
 // String summarizes the graph.
 func (g *Graph) String() string {

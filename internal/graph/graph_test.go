@@ -267,3 +267,41 @@ func TestRandomDAGInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestLevelOrder: the level order is a permutation of the nodes that
+// starts at the source, never decreases in level, and places every
+// edge's From before its To — the claim order of the SSTA forward pass
+// relies on all three.
+func TestLevelOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		b, src, sink := randomLayeredDAG(rng, 2+rng.Intn(8), 1+rng.Intn(6))
+		g, err := b.Build(src, sink)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		order := g.LevelOrder()
+		if len(order) != g.NumNodes() || order[0] != g.Source() {
+			t.Fatalf("trial %d: level order has %d nodes starting at %d, want %d starting at the source", trial, len(order), order[0], g.NumNodes())
+		}
+		pos := make([]int, g.NumNodes())
+		for i := range pos {
+			pos[i] = -1
+		}
+		for i, n := range order {
+			if pos[n] >= 0 {
+				t.Fatalf("trial %d: node %d appears twice", trial, n)
+			}
+			pos[n] = i
+			if i > 0 && g.Level(order[i-1]) > g.Level(n) {
+				t.Fatalf("trial %d: level decreases at position %d", trial, i)
+			}
+		}
+		for i := 0; i < g.NumEdges(); i++ {
+			e := g.EdgeAt(EdgeID(i))
+			if pos[e.From] >= pos[e.To] {
+				t.Fatalf("trial %d: edge %d->%d out of level order", trial, e.From, e.To)
+			}
+		}
+	}
+}

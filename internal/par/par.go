@@ -1,6 +1,7 @@
 // Package par provides the bounded fan-out primitives shared by the
-// parallel evaluation paths: the level-parallel SSTA forward pass, the
-// session's what-if batches and the optimizers' candidate sweeps.
+// parallel evaluation paths: the SSTA pass's edge stage and forward
+// workers, the session's what-if batches and the optimizers' candidate
+// sweeps.
 //
 // Determinism is the design constraint, not raw throughput: callers
 // index results by input position and never observe completion order,
@@ -40,8 +41,7 @@ func Workers(n int) int {
 //
 // workers <= 1 (or n <= 1) degenerates to a serial loop on the calling
 // goroutine, the reference the parallel paths are tested bit-identical
-// against. For a sequence of dependent batches (the SSTA levels), use a
-// Pool, which amortizes worker startup across batches.
+// against.
 func Run(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return RunIndexed(ctx, workers, n, func(_, i int) error { return fn(i) })
 }
@@ -49,94 +49,15 @@ func Run(ctx context.Context, workers, n int, fn func(i int) error) error {
 // RunIndexed is Run with the worker ordinal (in [0, workers)) passed to
 // fn alongside the index — the hook per-worker scratch state (arenas,
 // reusable maps) keys off. Which ordinal processes which index is
-// scheduling-dependent; everything else about the contract matches Run,
-// and the serial degenerate case always reports ordinal 0.
+// scheduling-dependent, but one ordinal never runs two calls at once;
+// everything else about the contract matches Run, and the serial
+// degenerate case runs in index order and always reports ordinal 0.
 func RunIndexed(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	p := NewPool(workers)
-	defer p.Close()
-	return p.RunIndexed(ctx, n, fn)
-}
-
-// Pool is a long-lived set of workers that process successive batches
-// with a barrier after each. It exists for batch sequences whose steps
-// are individually small — the forward SSTA pass runs one batch per
-// topological level, often dozens of nodes across hundreds of levels,
-// where spawning goroutines per level would rival the work itself.
-// A Pool is not safe for concurrent Run calls; it serves one caller.
-type Pool struct {
-	workers int
-	chans   []chan *batch
-}
-
-// batch is one barrier-delimited unit of pool work: an index range, the
-// function, and the shared progress/failure state.
-type batch struct {
-	ctx  context.Context
-	n    int
-	fn   func(worker, i int) error
-	next atomic.Int64
-	stop atomic.Bool
-	wg   sync.WaitGroup
-
-	mu     sync.Mutex
-	firstI int // lowest failed index; n when no failure
-	firstE error
-}
-
-// NewPool starts workers goroutines (none when the normalized count is
-// 1 — a serial pool runs batches on the caller's goroutine). Close must
-// be called to release the workers.
-func NewPool(workers int) *Pool {
-	p := &Pool{workers: Workers(workers)}
-	if p.workers <= 1 {
-		return p
-	}
-	p.chans = make([]chan *batch, p.workers)
-	for i := range p.chans {
-		ch := make(chan *batch, 1)
-		p.chans[i] = ch
-		worker := i
-		go func() {
-			for b := range ch {
-				b.work(worker)
-				b.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// NumWorkers returns the pool's normalized worker count — the bound on
-// the worker ordinals RunIndexed reports.
-func (p *Pool) NumWorkers() int { return p.workers }
-
-// Close stops the pool's workers. The pool must not be used afterwards.
-func (p *Pool) Close() {
-	for _, ch := range p.chans {
-		close(ch)
-	}
-}
-
-// Run processes one batch through the pool and waits for the barrier:
-// fn(i) for every i in [0, n), same contract as the package-level Run.
-func (p *Pool) Run(ctx context.Context, n int, fn func(i int) error) error {
-	return p.RunIndexed(ctx, n, func(_, i int) error { return fn(i) })
-}
-
-// RunIndexed is Run with the worker ordinal passed to fn (see the
-// package-level RunIndexed).
-func (p *Pool) RunIndexed(ctx context.Context, n int, fn func(worker, i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if p.workers <= 1 || n == 1 {
+	workers = min(Workers(workers), n)
+	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -147,41 +68,42 @@ func (p *Pool) RunIndexed(ctx context.Context, n int, fn func(worker, i int) err
 		}
 		return nil
 	}
-	b := &batch{ctx: ctx, n: n, fn: fn, firstI: n}
-	b.wg.Add(len(p.chans))
-	for _, ch := range p.chans {
-		ch <- b
+	var (
+		next   atomic.Int64
+		stop   atomic.Bool
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		firstI = n // lowest failed index; n when no failure
+		firstE error
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if ctx.Err() != nil {
+					stop.Store(true)
+					return
+				}
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := fn(w, i); err != nil {
+					mu.Lock()
+					if i < firstI {
+						firstI, firstE = i, err
+					}
+					mu.Unlock()
+					stop.Store(true)
+					return
+				}
+			}
+		}()
 	}
-	b.wg.Wait()
-	if b.firstE != nil {
-		return b.firstE
+	wg.Wait()
+	if firstE != nil {
+		return firstE
 	}
 	return ctx.Err()
-}
-
-// work drains indices from the batch until exhaustion, failure or
-// cancellation.
-func (b *batch) work(worker int) {
-	for {
-		if b.stop.Load() {
-			return
-		}
-		if err := b.ctx.Err(); err != nil {
-			b.stop.Store(true)
-			return
-		}
-		i := int(b.next.Add(1)) - 1
-		if i >= b.n {
-			return
-		}
-		if err := b.fn(worker, i); err != nil {
-			b.mu.Lock()
-			if i < b.firstI {
-				b.firstI, b.firstE = i, err
-			}
-			b.mu.Unlock()
-			b.stop.Store(true)
-			return
-		}
-	}
 }

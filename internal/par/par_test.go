@@ -70,17 +70,15 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-// TestPoolBarrierAcrossBatches: a pool reused for dependent batches
-// must provide a full barrier between them — batch k+1 reads what batch
-// k wrote, the exact structure of the level-parallel SSTA pass.
-func TestPoolBarrierAcrossBatches(t *testing.T) {
-	p := NewPool(8)
-	defer p.Close()
+// TestRunBarrierAcrossCalls: successive Run calls over shared state
+// must see a full barrier between them — call k+1 reads what call k
+// wrote, as the SSTA edge stage's results are read by the forward pass.
+func TestRunBarrierAcrossCalls(t *testing.T) {
 	const n = 256
 	cur := make([]int, n)
 	next := make([]int, n)
 	for round := 1; round <= 50; round++ {
-		err := p.Run(context.Background(), n, func(i int) error {
+		err := Run(context.Background(), 8, n, func(i int) error {
 			// Read a neighbor from the previous round; any missing
 			// barrier shows up as a torn read under -race or as a wrong
 			// value here.
@@ -108,20 +106,27 @@ func TestWorkersNormalization(t *testing.T) {
 	}
 }
 
-// TestRunIndexedWorkerOrdinals: every index is processed exactly once
-// and every reported worker ordinal is within [0, workers) — the
-// contract per-worker scratch arenas key off.
+// TestRunIndexedWorkerOrdinals: every index is processed exactly once,
+// every reported worker ordinal is within [0, workers), and no ordinal
+// runs two calls at once — the contract per-worker scratch arenas key
+// off.
 func TestRunIndexedWorkerOrdinals(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		const n = 200
 		seen := make([]int32, n)
 		byWorker := make([]atomic.Int64, workers)
+		busy := make([]atomic.Bool, workers)
 		err := RunIndexed(context.Background(), workers, n, func(w, i int) error {
 			if w < 0 || w >= workers {
 				t.Errorf("worker ordinal %d out of [0,%d)", w, workers)
+				return nil
+			}
+			if busy[w].Swap(true) {
+				t.Errorf("worker ordinal %d ran two calls at once", w)
 			}
 			atomic.AddInt32(&seen[i], 1)
 			byWorker[w].Add(1)
+			busy[w].Store(false)
 			return nil
 		})
 		if err != nil {
@@ -145,26 +150,24 @@ func TestRunIndexedWorkerOrdinals(t *testing.T) {
 	}
 }
 
-// TestPoolRunIndexedSerialOrdinal: a serial pool reports ordinal 0 and
+// TestRunIndexedSerialOrdinal: the serial case reports ordinal 0 and
 // runs on the calling goroutine in index order.
-func TestPoolRunIndexedSerialOrdinal(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	if p.NumWorkers() != 1 {
-		t.Fatalf("NumWorkers = %d, want 1", p.NumWorkers())
-	}
+func TestRunIndexedSerialOrdinal(t *testing.T) {
 	last := -1
-	err := p.RunIndexed(context.Background(), 10, func(w, i int) error {
+	err := RunIndexed(context.Background(), 1, 10, func(w, i int) error {
 		if w != 0 {
-			t.Errorf("serial pool reported worker %d", w)
+			t.Errorf("serial run reported worker %d", w)
 		}
 		if i != last+1 {
-			t.Errorf("serial pool ran index %d after %d", i, last)
+			t.Errorf("serial run ran index %d after %d", i, last)
 		}
 		last = i
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if last != 9 {
+		t.Errorf("serial run stopped after index %d", last)
 	}
 }

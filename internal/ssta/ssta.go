@@ -19,7 +19,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync/atomic"
 
 	"statsize/internal/design"
 	"statsize/internal/dist"
@@ -32,8 +34,9 @@ import (
 // serial incremental paths — ResizeCommit, WhatIf, ComputeRequired)
 // pass between context checks: frequent enough for sub-millisecond
 // cancellation latency, rare enough to stay invisible in profiles. The
-// parallel full pass checks through par.Run instead. Package montecarlo
-// keeps its own equivalent constant.
+// full pass checks once per edge (through par.Run) and once per claimed
+// chunk of claimChunk nodes instead. Package montecarlo keeps its own
+// equivalent constant.
 const cancelCheckStride = 64
 
 // Analysis is a completed SSTA pass over a design at fixed grid
@@ -77,12 +80,12 @@ func Analyze(ctx context.Context, d *design.Design, dt float64) (*Analysis, erro
 //
 // The pass parallelizes in two stages. Edge-delay distributions are
 // independent of each other and fan out freely. The forward arrival
-// pass is level-parallel: nodes on one topological level depend only on
-// strictly lower levels (an edge always increases the level), so levels
-// run in sequence while the nodes within a level fan out. Every node's
-// arrival is a pure function of its fanins and results land in
-// per-node slots, so the computed analysis is bit-identical for every
-// worker count.
+// pass is an ordered claim over the graph's level order (see
+// forwardPass): workers take chunks of that order from one shared
+// cursor and wait on each node's fanins, not on level boundaries.
+// Every node's arrival is a pure function of its fanins and results
+// land in per-node slots, so the computed analysis is bit-identical for
+// every worker count.
 func AnalyzeParallel(ctx context.Context, d *design.Design, dt float64, workers int) (*Analysis, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("ssta: non-positive dt %v", dt)
@@ -95,12 +98,7 @@ func AnalyzeParallel(ctx context.Context, d *design.Design, dt float64, workers 
 		edge:    make([]*dist.Dist, g.NumEdges()),
 		scratch: NewScratch(),
 	}
-	// One pool serves the edge builds and every level of the forward
-	// pass: levels are numerous and individually small, so worker
-	// startup is paid once, not per level.
-	pool := par.NewPool(workers)
-	defer pool.Close()
-	err := pool.Run(ctx, g.NumEdges(), func(e int) error {
+	err := par.Run(ctx, workers, g.NumEdges(), func(e int) error {
 		dd, err := d.EdgeDelayDist(dt, graph.EdgeID(e))
 		if err != nil {
 			return err
@@ -108,41 +106,88 @@ func AnalyzeParallel(ctx context.Context, d *design.Design, dt float64, workers 
 		a.edge[e] = dd
 		return nil
 	})
+	if err == nil {
+		err = a.forwardPass(ctx, par.Workers(workers))
+	}
 	if err != nil {
 		return nil, wrapAnalyzeErr(err)
 	}
-	// One kernel arena and one persist keeper per pool worker: a node's
-	// convolve/max intermediates live in its worker's arena and die at
-	// the next node's Reset; the final trimmed arrival is compacted
-	// into the worker's keeper (bulk heap slabs — O(1) amortized
-	// allocations per node). Workers never share either, so the hot
-	// path carries no synchronization. The keepers are dropped with
-	// this stack frame; their slabs live on exactly as long as the
-	// arrivals carved from them.
-	arenas := make([]*dist.Arena, pool.NumWorkers())
-	keepers := make([]*dist.Keeper, pool.NumWorkers())
-	for i := range arenas {
-		arenas[i] = dist.NewArena()
-		keepers[i] = dist.NewKeeper()
-	}
-	a.arrival[g.Source()] = dist.Point(dt, 0)
-	for _, level := range levelNodes(g) {
-		nodes := level
-		err := pool.RunIndexed(ctx, len(nodes), func(w, i int) error {
-			ar := arenas[w]
-			ar.Reset()
-			arr, err := a.arrivalOrErr(nodes[i], ar)
-			if err != nil {
+	return a, nil
+}
+
+// claimChunk is how many consecutive level-order nodes a forward-pass
+// worker claims at once: enough to keep the shared cursor off the
+// profile, few enough that a worker rarely holds a node another one is
+// waiting on.
+const claimChunk = 8
+
+// spinsBeforeYield is how many times a forward-pass worker re-reads a
+// fanin's done flag before yielding between reads: a fanin is usually
+// microseconds from done, but its claimant needs a P to get there.
+const spinsBeforeYield = 64
+
+// forwardPass computes every non-source arrival over the graph's level
+// order. Each worker claims the next claimChunk nodes of that order
+// from one shared cursor and, per node, waits until every fanin's done
+// flag is set, computes the arrival in its own arena, persists it
+// through its own keeper and sets the node's done flag.
+//
+// This cannot deadlock. A fanin sits on a strictly lower level, so it
+// has a lower level-order index and was claimed before the node that
+// waits on it. A worker finishes its chunk before claiming another, so
+// the smallest unfinished index is always held by a running worker,
+// and all of its fanins (smaller indices) are done: it always
+// proceeds. On failure or cancellation the shared stop flag releases
+// every waiting worker.
+//
+// A node's convolve/max intermediates die at its worker's next arena
+// Reset; the trimmed arrival is compacted into the worker's keeper
+// (bulk heap slabs — O(1) amortized allocations per node), whose slabs
+// live exactly as long as the arrivals carved from them.
+func (a *Analysis) forwardPass(ctx context.Context, workers int) error {
+	g := a.D.E.G
+	order := g.LevelOrder()[1:] // the source leads the level order
+	done := make([]atomic.Bool, g.NumNodes())
+	a.arrival[g.Source()] = dist.Point(a.DT, 0)
+	done[g.Source()].Store(true)
+	var (
+		next atomic.Int64
+		stop atomic.Bool
+	)
+	return par.Run(ctx, workers, workers, func(int) error {
+		ar, keep := dist.NewArena(), dist.NewKeeper()
+		for !stop.Load() {
+			if err := ctx.Err(); err != nil {
+				stop.Store(true)
 				return err
 			}
-			a.arrival[nodes[i]] = keepers[w].Persist(arr)
-			return nil
-		})
-		if err != nil {
-			return nil, wrapAnalyzeErr(err)
+			lo := int(next.Add(claimChunk)) - claimChunk
+			if lo >= len(order) {
+				return nil
+			}
+			for _, n := range order[lo:min(lo+claimChunk, len(order))] {
+				for _, eid := range g.In(n) {
+					for spins := 0; !done[g.EdgeAt(eid).From].Load(); spins++ {
+						if stop.Load() {
+							return nil
+						}
+						if spins >= spinsBeforeYield {
+							runtime.Gosched()
+						}
+					}
+				}
+				ar.Reset()
+				arr, err := a.arrivalOrErr(n, ar)
+				if err != nil {
+					stop.Store(true)
+					return err
+				}
+				a.arrival[n] = keep.Persist(arr)
+				done[n].Store(true)
+			}
 		}
-	}
-	return a, nil
+		return nil
+	})
 }
 
 // wrapAnalyzeErr dresses a pure cancellation in the analysis-canceled
@@ -155,22 +200,6 @@ func wrapAnalyzeErr(err error) error {
 		return fmt.Errorf("ssta: analysis canceled: %w", err)
 	}
 	return err
-}
-
-// levelNodes buckets every node except the source by topological level,
-// in ascending level order with topological order inside each bucket.
-// Level boundaries are the synchronization points of the parallel
-// forward pass.
-func levelNodes(g *graph.Graph) [][]graph.NodeID {
-	out := make([][]graph.NodeID, g.MaxLevel()+1)
-	for _, n := range g.Topo() {
-		if n == g.Source() {
-			continue
-		}
-		l := g.Level(n)
-		out[l] = append(out[l], n)
-	}
-	return out
 }
 
 // arrivalOrErr evaluates one node's arrival against the base analysis,

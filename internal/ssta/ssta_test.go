@@ -2,9 +2,12 @@ package ssta
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"statsize/internal/cell"
 	"statsize/internal/circuitgen"
@@ -24,6 +27,9 @@ func newDesign(t *testing.T, name string) *design.Design {
 		nl = netlist.C17(lib)
 	} else {
 		sp, ok := circuitgen.ByName(name)
+		if name == gen5k.Name {
+			sp, ok = gen5k, true
+		}
 		if !ok {
 			t.Fatalf("unknown circuit %q", name)
 		}
@@ -290,12 +296,15 @@ func TestZeroFaninDiagnostic(t *testing.T) {
 	}
 }
 
-// TestAnalyzeParallelDeterminism: the level-parallel forward pass must
+// TestAnalyzeParallelDeterminism: the ordered-claim forward pass must
 // be bit-identical to the serial reference at every worker count —
 // every edge-delay distribution and every arrival, not just the sink.
+// The 5k-gate circuit gives the workers dozens of nodes per level to
+// race over; 3 and 8 workers exceed the CPU count of small hosts, so
+// claimants of awaited fanins get descheduled.
 func TestAnalyzeParallelDeterminism(t *testing.T) {
 	ctx := context.Background()
-	for _, name := range []string{"c17", "c432", "c1908"} {
+	for _, name := range []string{"c17", "c432", "c1908", "gen5k"} {
 		t.Run(name, func(t *testing.T) {
 			d := newDesign(t, name)
 			dt := d.SuggestDT(400)
@@ -303,7 +312,7 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 8} {
+			for _, workers := range []int{2, 3, 8} {
 				parallel, err := AnalyzeParallel(ctx, d, dt, workers)
 				if err != nil {
 					t.Fatal(err)
@@ -322,6 +331,62 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// gen5k is a seeded 5000-gate circuitgen circuit of logic depth 60:
+// about 85 nodes per level.
+var gen5k = circuitgen.Spec{Name: "gen5k", Nodes: 5102, Edges: 9180, PIs: 100, POs: 80, Depth: 60, Seed: 1}
+
+// flipCtx is a context whose Err turns to context.Canceled from its
+// (after+1)-th call on, canceling a pass at a chosen point of its
+// progress without timing games. It never closes Done; the analysis
+// polls Err.
+type flipCtx struct {
+	context.Context
+	after int64
+	calls atomic.Int64
+}
+
+func (c *flipCtx) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAnalyzeParallelMidPassCancel: a context that dies while the
+// forward pass is running must end the pass with a wrapped
+// context.Canceled, promptly, with more workers than CPUs — workers
+// spinning on a fanin whose claimant stopped must not hang.
+func TestAnalyzeParallelMidPassCancel(t *testing.T) {
+	d := newDesign(t, gen5k.Name)
+	dt := d.SuggestDT(100)
+	const workers = 8
+	// Count the polls of a full pass. The edge stage polls first, so
+	// the last polls all come from the forward pass, which polls at
+	// least once per claimed chunk.
+	probe := &flipCtx{Context: context.Background(), after: math.MaxInt64}
+	if _, err := AnalyzeParallel(probe, d, dt, workers); err != nil {
+		t.Fatal(err)
+	}
+	total := probe.calls.Load()
+	chunks := int64(d.E.G.NumNodes() / claimChunk)
+	for _, back := range []int64{chunks / 2, chunks / 8, 2} {
+		ctx := &flipCtx{Context: context.Background(), after: total - back}
+		errc := make(chan error, 1)
+		go func() {
+			_, err := AnalyzeParallel(ctx, d, dt, workers)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "analysis canceled") {
+				t.Fatalf("cancel %d polls before the end: err = %v, want a wrapped context.Canceled", back, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("cancel %d polls before the end: pass did not return", back)
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ func equalDists(what string, got, want *dist.Dist) error {
 	return nil
 }
 
-// propSerialParallel: the level-parallel forward pass must be
+// propSerialParallel: the ordered-claim forward pass must be
 // bit-identical to the serial reference at every node, for any worker
 // count.
 func propSerialParallel(ctx context.Context, lib *cell.Library, sp circuitgen.Spec) error {
