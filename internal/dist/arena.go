@@ -26,6 +26,16 @@ var distHeaderSize = unsafe.Sizeof(Dist{})
 //     per candidate for sweeps whose overlays must survive a whole
 //     propagation.
 type Arena struct {
+	arenaCursors
+	// Parallel paths allocate their workers' arenas back to back, and
+	// every kernel call writes the cursors: padding to a multiple of the
+	// cache line (a size class whose objects start on a line boundary)
+	// keeps one worker's cursors off the line holding another's.
+	_ [cacheLine - unsafe.Sizeof(arenaCursors{})%cacheLine]byte
+}
+
+// arenaCursors is an Arena's state, unpadded.
+type arenaCursors struct {
 	slabs [][]float64
 	slab  int // index of the slab currently being carved
 	off   int // floats consumed from slabs[slab]
@@ -34,9 +44,14 @@ type Arena struct {
 	nh      int // headers handed out since the last Reset
 }
 
+// cacheLine is the padding unit of Arena (x86-64 and most arm64 cores).
+const cacheLine = 64
+
 // arenaMinSlab is the float count of the first slab (32 KiB); each
-// further slab doubles, so an arena reaches any peak working set in
-// O(log n) allocations and then never allocates again.
+// further slab is a quarter larger than the last. An arena thus reaches
+// any peak working set in O(log n) allocations, never allocates again,
+// and retains about 1.25× its peak: a session's what-if workers hold
+// their arenas for the session's lifetime, so the excess is live heap.
 const arenaMinSlab = 4 << 10
 
 // arenaHdrChunk is the Dist-header count per chunk. Chunks are never
@@ -56,13 +71,21 @@ func (ar *Arena) Reset() {
 
 // floats carves a zeroed n-float slice out of the arena.
 func (ar *Arena) floats(n int) []float64 {
+	s := ar.uninitFloats(n)
+	clear(s)
+	return s
+}
+
+// uninitFloats carves an n-float slice out of the arena without
+// clearing it: it may hold a dead view's values, so it serves only
+// kernels that write every element before reading any.
+func (ar *Arena) uninitFloats(n int) []float64 {
 	for {
 		if ar.slab < len(ar.slabs) {
 			slab := ar.slabs[ar.slab]
 			if ar.off+n <= len(slab) {
 				s := slab[ar.off : ar.off+n : ar.off+n]
 				ar.off += n
-				clear(s)
 				return s
 			}
 			// The remainder of this slab is too small; leave it and move
@@ -73,7 +96,7 @@ func (ar *Arena) floats(n int) []float64 {
 		}
 		size := arenaMinSlab
 		if k := len(ar.slabs); k > 0 {
-			size = 2 * len(ar.slabs[k-1])
+			size = len(ar.slabs[k-1]) + len(ar.slabs[k-1])/4
 		}
 		if size < n {
 			size = n
@@ -93,7 +116,11 @@ func (ar *Arena) newDist(dt float64, i0 int, p []float64) *Dist {
 	ar.nh++
 	h := &ar.hchunks[ci][ii]
 	h.dt, h.i0, h.p, h.scratch = dt, i0, p, true
-	h.cum.Store(nil)
+	// Scratch views rarely fill the quantile cache, so a load spares
+	// most recycled headers the atomic store.
+	if h.cum.Load() != nil {
+		h.cum.Store(nil)
+	}
 	return h
 }
 
@@ -170,6 +197,15 @@ func scratchFloats(ar *Arena, n int) []float64 {
 		return make([]float64, n)
 	}
 	return ar.floats(n)
+}
+
+// scratchUninitFloats is scratchFloats for kernels that write every
+// element: arena memory comes back uncleared.
+func scratchUninitFloats(ar *Arena, n int) []float64 {
+	if ar == nil {
+		return make([]float64, n)
+	}
+	return ar.uninitFloats(n)
 }
 
 // FootprintBytes reports the total memory the arena retains across

@@ -15,8 +15,8 @@ func randDist(rng *rand.Rand, dt float64, maxBins int) *Dist {
 	p := make([]float64, n)
 	total := 0.0
 	for i := range p {
-		// Leave occasional interior zeros so trim and the skip-zero fast
-		// paths get exercised.
+		// Leave occasional interior zeros so trim and the kernels' zero
+		// bins get exercised.
 		if rng.Intn(5) == 0 {
 			continue
 		}
@@ -309,31 +309,34 @@ func TestTrimAllZeroSpans(t *testing.T) {
 	}
 }
 
+// refPercentile and refCDF are the pre-cache linear scans, verbatim:
+// the references the cached binary-search queries must reproduce.
+func refPercentile(d *Dist, p float64) float64 {
+	cum := 0.0
+	for k := 0; k < d.NumBins(); k++ {
+		cum += d.MassAt(k)
+		if cum >= p-probEps {
+			return float64(d.I0()+k) * d.DT()
+		}
+	}
+	return d.MaxTime()
+}
+
+func refCDF(d *Dist, t float64) float64 {
+	cum := 0.0
+	for k := 0; k < d.NumBins(); k++ {
+		if float64(d.I0()+k)*d.DT() > t+probEps*d.DT() {
+			break
+		}
+		cum += d.MassAt(k)
+	}
+	return cum
+}
+
 // TestPercentileCDFMatchLinearScan pins the cached binary-search
 // quantile queries to the historical linear scans, bit for bit, across
 // randomized distributions and query points.
 func TestPercentileCDFMatchLinearScan(t *testing.T) {
-	// Reference implementations: the pre-cache linear scans, verbatim.
-	refPercentile := func(d *Dist, p float64) float64 {
-		cum := 0.0
-		for k := 0; k < d.NumBins(); k++ {
-			cum += d.MassAt(k)
-			if cum >= p-probEps {
-				return float64(d.I0()+k) * d.DT()
-			}
-		}
-		return d.MaxTime()
-	}
-	refCDF := func(d *Dist, t float64) float64 {
-		cum := 0.0
-		for k := 0; k < d.NumBins(); k++ {
-			if float64(d.I0()+k)*d.DT() > t+probEps*d.DT() {
-				break
-			}
-			cum += d.MassAt(k)
-		}
-		return cum
-	}
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 200; trial++ {
 		d := randDist(rng, 0.01, 120)
@@ -354,6 +357,42 @@ func TestPercentileCDFMatchLinearScan(t *testing.T) {
 		}
 		if got, want := d.CDF(d.MaxTime()), refCDF(d, d.MaxTime()); got != want {
 			t.Fatalf("CDF(max) = %x, linear scan %x", got, want)
+		}
+	}
+}
+
+// TestRecycledHeaderDropsQuantileCache: a header recycled after Reset
+// must not carry the cumulative sums of the view it held before. View
+// A fills its cache, the arena is reset, and view B — built into the
+// same header slot over different mass — must answer every quantile
+// query like a linear scan of its own bins.
+func TestRecycledHeaderDropsQuantileCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	ar := NewArena()
+	for trial := 0; trial < 50; trial++ {
+		x, y := randDist(rng, 0.01, 40), randDist(rng, 0.01, 40)
+		ar.Reset()
+		a := ConvolveInto(ar, x, y)
+		a.Percentile(0.5)
+		a.CDF(a.MaxTime())
+		if a.cum.Load() == nil {
+			t.Fatal("view A did not fill its quantile cache")
+		}
+		ar.Reset()
+		b := NegInto(ar, randDist(rng, 0.01, 40))
+		if b != a {
+			t.Fatalf("trial %d: view B got a fresh header, want the recycled slot", trial)
+		}
+		for _, p := range []float64{0, 0.1, 0.5, 0.9, 0.999, 1} {
+			if got, want := b.Percentile(p), refPercentile(b, p); got != want {
+				t.Fatalf("trial %d: recycled Percentile(%v) = %x, linear scan %x", trial, p, got, want)
+			}
+		}
+		for k := -1; k <= b.NumBins(); k++ {
+			q := float64(b.I0()+k) * b.DT()
+			if got, want := b.CDF(q), refCDF(b, q); got != want {
+				t.Fatalf("trial %d: recycled CDF(%v) = %x, linear scan %x", trial, q, got, want)
+			}
 		}
 	}
 }

@@ -5,16 +5,31 @@ import (
 	"testing"
 )
 
-// kernelOperands builds a representative operand pair whose supports
-// span roughly `bins` bins each — the shape the SSTA forward pass feeds
-// the kernels at the default 600-bin grid.
+// kernelOperands builds two Gaussian operands of nearly equal width on
+// a grid of dt = 1/bins: their ±3σ supports span about bins/2 and
+// 0.55·bins bins. The rows keyed by it track the kernels' scaling with
+// width; the forward pass's real shapes are in supportOperand's rows.
 func kernelOperands(b *testing.B, bins int) (*Dist, *Dist) {
 	b.Helper()
-	// sigma chosen so the ±3σ support covers ~bins grid steps.
+	// sigma = mean/6, so the ±3σ support spans mean/dt = mean·bins steps.
 	dt := 1.0 / float64(bins)
 	x := mustGauss(b, dt, 0.50, 0.50/6)
 	y := mustGauss(b, dt, 0.55, 0.55/6)
 	return x, y
+}
+
+// supportOperand builds a Gaussian-shaped operand of exactly n support
+// bins starting at grid index i0 (dt = 1).
+func supportOperand(b *testing.B, n, i0 int) *Dist {
+	b.Helper()
+	d := Point(1, float64(i0))
+	if n > 1 {
+		d = mustGauss(b, 1, float64(i0)+float64(n-1)/2, float64(n-1)/6)
+	}
+	if d.NumBins() != n || d.I0() != i0 {
+		b.Fatalf("support operand: got %d bins at %d, want %d at %d", d.NumBins(), d.I0(), n, i0)
+	}
+	return d
 }
 
 // BenchmarkDistKernels measures the numeric core at representative bin
@@ -25,7 +40,40 @@ func kernelOperands(b *testing.B, bins int) (*Dist, *Dist) {
 // Convolve rows dispatch on operand width (wide shapes take the FFT);
 // ConvolveFFT rows call the FFT route directly so its own trajectory is
 // visible even at widths the dispatcher would serve directly.
+//
+// The rows named by support width are the shapes a brute-force sizing
+// iteration at the default 600-bin grid feeds the kernels: a gate
+// delay of 4–8 bins (sometimes 1) convolved with an arrival of 25–125
+// bins, and maxes whose supports overlap by 50–125 bins with a
+// one-operand tail mostly under 25 bins.
 func BenchmarkDistKernels(b *testing.B) {
+	type shape struct {
+		name string
+		run  func(ar *Arena) *Dist
+	}
+	var shapes []shape
+	for _, w := range [][2]int{{1, 100}, {5, 75}, {8, 125}} {
+		x, y := supportOperand(b, w[0], 3), supportOperand(b, w[1], 40)
+		shapes = append(shapes, shape{fmt.Sprintf("Convolve/%dx%d", w[0], w[1]), func(ar *Arena) *Dist { return ConvolveInto(ar, x, y) }})
+	}
+	for _, w := range [][2]int{{100, 10}, {50, 25}} {
+		// Both operands span overlap+tail bins, b starting tail bins
+		// later: they share overlap bins and b alone has the last tail.
+		x, y := supportOperand(b, w[0]+w[1], 0), supportOperand(b, w[0]+w[1], w[1])
+		shapes = append(shapes, shape{fmt.Sprintf("MaxIndep/overlap%dtail%d", w[0], w[1]), func(ar *Arena) *Dist { return MaxIndepInto(ar, x, y) }})
+	}
+	for _, s := range shapes {
+		ar := NewArena()
+		b.Run(s.name+"/into", func(b *testing.B) {
+			b.ReportAllocs()
+			s.run(ar) // warm the arena before timing
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ar.Reset()
+				s.run(ar)
+			}
+		})
+	}
 	for _, bins := range []int{400, 1600, 6400} {
 		x, y := kernelOperands(b, bins)
 		ar := NewArena()

@@ -296,27 +296,90 @@ func ConvolveInto(ar *Arena, a, b *Dist) *Dist {
 
 // convolveDirectInto is the exact O(n·m) kernel: every output bin is
 // the correctly-rounded sum of its contributing products, accumulated
-// in index order. The FFT route's results are validated against this
-// kernel, so it must stay reachable without going through the
-// dispatching ConvolveInto.
+// in ascending index of the narrower operand. The FFT route's results
+// are validated against this kernel, so it must stay reachable without
+// going through the dispatching ConvolveInto.
+//
+// The narrow operand's rows are processed in blocks of four, then two,
+// then one, so one pass over the output loads and stores each bin once
+// for up to four products instead of once per product. The bits are
+// those of the plain row loop (one row at a time, products added to
+// each bin in turn; refConvolveDirect in the tests): within a block
+// each bin adds its products one at a time in ascending row order, and
+// blocks run in ascending order, so every bin sees the same additions
+// in the same order. A zero row adds +0 products, which leave a
+// non-negative partial sum unchanged, so zero rows need no skip. The
+// output is accumulated, so it needs zeroed memory.
 func convolveDirectInto(ar *Arena, a, b *Dist) *Dist {
 	out := scratchFloats(ar, len(a.p)+len(b.p)-1)
-	// Convolve with the shorter operand outer so the inner loop runs
-	// long and contiguous.
-	x, y := a, b
-	if len(x.p) > len(y.p) {
+	// The shorter operand's rows are blocked so the inner loops run long
+	// and contiguous over the wider one.
+	x, y := a.p, b.p
+	if len(x) > len(y) {
 		x, y = y, x
 	}
-	for i, pi := range x.p {
-		if pi == 0 {
-			continue
-		}
-		row := out[i : i+len(y.p)]
-		for j, pj := range y.p {
-			row[j] += pi * pj
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		convolveRows4(out[i:i+len(y)+3], x[i:i+4], y)
+	}
+	if i+2 <= len(x) {
+		convolveRows2(out[i:i+len(y)+1], x[i:i+2], y)
+		i += 2
+	}
+	if i < len(x) {
+		xi, row := x[i], out[i:i+len(y)]
+		y := y[:len(row)]
+		for j := range row {
+			row[j] += xi * y[j]
 		}
 	}
 	return trimInto(ar, a.dt, a.i0+b.i0, out)
+}
+
+// convolveRows4 adds the products of four consecutive rows xs into o,
+// where o[j] collects xs[r]·y[j-r]; len(y) >= 4 because y is the wider
+// operand. The three bins at each end, which only some rows reach, are
+// spelled out, each adding its products in ascending row order.
+func convolveRows4(o, xs, y []float64) {
+	x0, x1, x2, x3 := xs[0], xs[1], xs[2], xs[3]
+	n := len(y)
+	o[0] = o[0] + x0*y[0]
+	o[1] = o[1] + x0*y[1] + x1*y[0]
+	o[2] = o[2] + x0*y[2] + x1*y[1] + x2*y[0]
+	om := o[3:n]
+	y0 := y[3:n][:len(om)]
+	y1 := y[2 : n-1][:len(om)]
+	y2 := y[1 : n-2][:len(om)]
+	y3 := y[:n-3][:len(om)]
+	for j := range om {
+		v := om[j]
+		v += x0 * y0[j]
+		v += x1 * y1[j]
+		v += x2 * y2[j]
+		v += x3 * y3[j]
+		om[j] = v
+	}
+	ya, yb, yc := y[n-3], y[n-2], y[n-1]
+	o[n] = o[n] + x1*yc + x2*yb + x3*ya
+	o[n+1] = o[n+1] + x2*yc + x3*yb
+	o[n+2] = o[n+2] + x3*yc
+}
+
+// convolveRows2 is convolveRows4 for a block of two rows.
+func convolveRows2(o, xs, y []float64) {
+	x0, x1 := xs[0], xs[1]
+	n := len(y)
+	o[0] = o[0] + x0*y[0]
+	om := o[1:n]
+	y0 := y[1:n][:len(om)]
+	y1 := y[:n-1][:len(om)]
+	for j := range om {
+		v := om[j]
+		v += x0 * y0[j]
+		v += x1 * y1[j]
+		om[j] = v
+	}
+	o[n] = o[n] + x1*y[n-1]
 }
 
 // MaxIndep returns the distribution of the maximum of two independent
@@ -328,6 +391,17 @@ func MaxIndep(a, b *Dist) *Dist { return MaxIndepInto(nil, a, b) }
 // allocates). When one operand dominates outright the operand itself is
 // returned — possibly a scratch view, possibly a shared immutable value;
 // callers that retain the result go through Persist either way.
+//
+// The merge runs in three parts, none with per-bin range checks. Over
+// the bins where both operands have mass and neither has reached its
+// last bin, it walks two equal-length slices with no snap-to-1 checks.
+// At mid, the earlier last bin, both operands add a bin and each one
+// ending there snaps; past mid only the other operand adds bins,
+// against the first's fixed CDF. Each running CDF still gains its bins
+// one at a time in index order, and each product and difference is
+// formed exactly as in a single loop over the whole range (refMaxIndep
+// in the tests), so the split changes no bit. Every output bin is
+// written, so the output needs no zeroing.
 func MaxIndepInto(ar *Arena, a, b *Dist) *Dist {
 	// A strictly-later operand dominates outright: when one support ends
 	// at or before the other begins, the maximum IS the later operand —
@@ -340,57 +414,80 @@ func MaxIndepInto(ar *Arena, a, b *Dist) *Dist {
 	if b.i0+len(b.p)-1 <= a.i0 {
 		return a
 	}
-	lo := a.i0
-	if b.i0 > lo {
-		lo = b.i0
-	}
+	lo := max(a.i0, b.i0)
 	aHi, bHi := a.i0+len(a.p)-1, b.i0+len(b.p)-1
-	hi := aHi
-	if bHi > hi {
-		hi = bHi
-	}
-	out := scratchFloats(ar, hi-lo+1)
+	hi := max(aHi, bHi)
+	out := scratchUninitFloats(ar, hi-lo+1)
 	// Prefix sums: accumulate each operand's CDF below lo in index
 	// order — the same additions, in the same order, that the merge
-	// loop below continues, so the running sums are bit-identical to a
+	// loops below continue, so the running sums are bit-identical to a
 	// single scan from each operand's first bin. (The dominance
 	// shortcuts above guarantee neither prefix consumes a whole
 	// operand, so no snap-to-1 check is needed here.)
 	cumA, cumB := 0.0, 0.0
-	for k := 0; k < lo-a.i0; k++ {
-		cumA += a.p[k]
+	for _, pk := range a.p[:lo-a.i0] {
+		cumA += pk
 	}
-	for k := 0; k < lo-b.i0; k++ {
-		cumB += b.p[k]
+	for _, pk := range b.p[:lo-b.i0] {
+		cumB += pk
 	}
 	prev := 0.0 // product of CDFs at the previous index; P(max < lo) = 0
-	for i := lo; i <= hi; i++ {
-		if k := i - a.i0; k >= 0 && k < len(a.p) {
-			cumA += a.p[k]
-			// Snap a fully-consumed operand's CDF to exactly 1 (bin sums
-			// land at 1±ulps): a dominated operand then contributes the
-			// identity, so the max of X and a strictly-later Y reproduces
-			// Y bit for bit — the exact cancellation the optimizer's
-			// dead-front elision detects.
-			if k == len(a.p)-1 && math.Abs(cumA-1) < probEps {
-				cumA = 1
-			}
-		}
-		if k := i - b.i0; k >= 0 && k < len(b.p) {
-			cumB += b.p[k]
-			if k == len(b.p)-1 && math.Abs(cumB-1) < probEps {
-				cumB = 1
-			}
-		}
+	// Both operands have mass on [lo, mid) and neither ends there.
+	mid := min(aHi, bHi)
+	om := out[:mid-lo]
+	pa := a.p[lo-a.i0 : mid-a.i0][:len(om)]
+	pb := b.p[lo-b.i0 : mid-b.i0][:len(om)]
+	for k := range om {
+		cumA += pa[k]
+		cumB += pb[k]
 		prod := cumA * cumB
-		m := prod - prev
-		if m < 0 {
-			m = 0
-		}
-		out[i-lo] = m
+		om[k] = massStep(prod, prev)
+		prev = prod
+	}
+	// At mid both operands add a bin, and each one ending there snaps.
+	cumA = addBin(cumA, a.p[mid-a.i0], mid == aHi)
+	cumB = addBin(cumB, b.p[mid-b.i0], mid == bHi)
+	prod := cumA * cumB
+	out[mid-lo] = massStep(prod, prev)
+	prev = prod
+	// On (mid, hi] only the operand ending at hi adds bins; the other's
+	// CDF stays fixed. (Multiplication commutes exactly, so the product
+	// needs no operand order.)
+	rest, cumL, cumS := a.p[mid-a.i0+1:], cumA, cumB
+	if bHi > aHi {
+		rest, cumL, cumS = b.p[mid-b.i0+1:], cumB, cumA
+	}
+	tail := out[mid-lo+1:][:len(rest)]
+	for k, pk := range rest {
+		cumL = addBin(cumL, pk, k == len(rest)-1)
+		prod := cumL * cumS
+		tail[k] = massStep(prod, prev)
 		prev = prod
 	}
 	return trimInto(ar, a.dt, lo, out)
+}
+
+// addBin adds one bin of mass p to a running CDF. At an operand's last
+// bin a CDF within probEps of 1 snaps to exactly 1 (bin sums land at
+// 1±ulps): a dominated operand then contributes the identity, so the
+// max of X and a strictly-later Y reproduces Y bit for bit — the exact
+// cancellation the optimizer's dead-front elision detects.
+func addBin(cum, p float64, last bool) float64 {
+	cum += p
+	if last && math.Abs(cum-1) < probEps {
+		return 1
+	}
+	return cum
+}
+
+// massStep is the mass of one max bin: the rise of the CDF product
+// over the previous bin's, with rounding noise below zero clamped.
+func massStep(prod, prev float64) float64 {
+	m := prod - prev
+	if m < 0 {
+		m = 0
+	}
+	return m
 }
 
 // Neg returns the distribution of the negated variable: mass at grid
