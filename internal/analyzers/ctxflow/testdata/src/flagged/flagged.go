@@ -37,9 +37,11 @@ func Unchecked(ctx context.Context, nodes []graph.NodeID) error {
 	return nil
 }
 
-type front struct{ dead bool }
+type front struct{ pending []int }
 
-func (f *front) propagateOneLevel() {}
+func (f *front) Done() bool { return len(f.pending) == 0 }
+
+func (f *front) Advance() { f.pending = f.pending[1:] }
 
 // HintFront is a miniature of the acceleratedIteration hint-front loop
 // this analyzer caught in the real tree (fixed in the same change that
@@ -49,8 +51,8 @@ func HintFront(ctx context.Context, f *front) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for !f.dead { // want `unbounded loop in HintFront does not observe`
-		f.propagateOneLevel()
+	for !f.Done() { // want `unbounded loop in HintFront does not observe`
+		f.Advance()
 	}
 	return nil
 }

@@ -9,9 +9,9 @@
 // function it marks as scratch every variable assigned from a call
 // that takes a non-nil *dist.Arena argument and returns a *dist.Dist —
 // that covers the dist kernels (ConvolveInto, MaxIndepInto, ...) and
-// every statsize helper that threads an arena (computeArrival,
-// ArrivalWithOverlayInto, ...). A scratch variable is cleansed if it is
-// ever reassigned from a Persist call. It then flags scratch values
+// every statsize helper that threads an arena (computeArrival, ...).
+// A scratch variable is cleansed if it is ever reassigned from a
+// Persist call. It then flags scratch values
 // that escape:
 //
 //   - stored to a struct field, map or slice element, dereferenced

@@ -3,10 +3,7 @@ package core
 import (
 	"container/heap"
 	"context"
-	"sort"
 
-	"statsize/internal/dist"
-	"statsize/internal/graph"
 	"statsize/internal/netlist"
 	"statsize/internal/par"
 	"statsize/internal/session"
@@ -28,183 +25,24 @@ import (
 // with the largest bound by one level. When a front reaches the sink,
 // its exact sensitivity updates Max_S; any front whose bound falls below
 // Max_S is discarded without further propagation. The surviving argmax
-// is identical to the brute-force result.
+// is identical to the brute-force result. The front mechanics
+// (Figures 7 and 9) are ssta.Front's; this file keeps Figure 6.
 func Accelerated(ctx context.Context, s *session.Session, cfg Config) (*Result, error) {
 	return statisticalDescent(ctx, s, cfg, "accelerated", acceleratedIteration)
 }
 
-// front is the A'set bookkeeping of one candidate gate (Figure 7/9): the
-// perturbed delay overlays, the live perturbed arrivals with their
-// remaining-fanout counts, the nodes scheduled for future levels, and
-// the current bound.
-type front struct {
-	gate   netlist.GateID
-	delays map[graph.EdgeID]*dist.Dist
-
-	perturbed map[graph.NodeID]*dist.Dist
-	delta     map[graph.NodeID]float64
-	foLeft    map[graph.NodeID]int
-	scheduled map[int][]graph.NodeID
-	inSched   map[graph.NodeID]bool
-	nextLevel int
-	levels    int // levels advanced so far (for the heuristic cutoff)
-
-	smx      float64
-	sinkDist *dist.Dist // set once the sink is computed
-	dead     bool       // nothing scheduled and nothing live
-
-	heapIdx int
-	visits  int
-}
-
-// newFront builds and initializes a candidate's front, propagating
-// through the candidate gate's own level exactly as Initialize does.
-// ar is the kernel scratch arena of the calling worker; the front
-// itself retains only persisted (heap) distributions, so fronts built
-// on different arenas mix freely in one heap afterwards.
-func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, ar *dist.Arena) (*front, error) {
-	d := a.D
-	delays, err := a.PerturbedDelays(x, d.Width(x)+d.Lib.DeltaW)
-	if err != nil {
-		return nil, err
-	}
-	f := &front{
-		gate:      x,
-		delays:    delays,
-		perturbed: make(map[graph.NodeID]*dist.Dist),
-		delta:     make(map[graph.NodeID]float64),
-		foLeft:    make(map[graph.NodeID]int),
-		scheduled: make(map[int][]graph.NodeID),
-		inSched:   make(map[graph.NodeID]bool),
-		nextLevel: int(^uint(0) >> 1),
-	}
-	g := d.E.G
-	for _, gid := range ssta.AffectedGates(d, x) {
-		n := d.E.NodeOf[d.NL.Gate(gid).Out]
-		f.schedule(g, n)
-	}
-	// Initialize propagates up to and including the candidate's output
-	// level so every front starts with a meaningful bound (Figure 7,
-	// steps 4–6).
-	ownLevel := g.Level(d.E.NodeOf[d.NL.Gate(x).Out])
-	for !f.dead && f.nextLevel <= ownLevel {
-		f.propagateOneLevel(a, cfg, ar)
-	}
-	return f, nil
-}
-
-// schedule queues a node for computation at its level.
-func (f *front) schedule(g *graph.Graph, n graph.NodeID) {
-	if f.inSched[n] {
-		return
-	}
-	f.inSched[n] = true
-	l := g.Level(n)
-	f.scheduled[l] = append(f.scheduled[l], n)
-	if l < f.nextLevel {
-		f.nextLevel = l
-	}
-}
-
-// propagateOneLevel computes the perturbed arrivals of every node
-// scheduled at the front's current level (Figure 9), updates the
-// perturbation bounds and remaining-fanout counts, schedules fanouts,
-// and recomputes Smx. Kernel intermediates cycle through ar per node;
-// whatever the front retains (perturbed arrivals, the sink) is
-// persisted out of scratch first.
-func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, ar *dist.Arena) {
-	g := a.D.E.G
-	sink := g.Sink()
-	nodes := f.scheduled[f.nextLevel]
-	delete(f.scheduled, f.nextLevel)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-	arrOverlay := func(n graph.NodeID) *dist.Dist { return f.perturbed[n] }
-	delayOverlay := func(e graph.EdgeID) *dist.Dist { return f.delays[e] }
-
-	for _, n := range nodes {
-		delete(f.inSched, n)
-		ar.Reset()
-		pert := a.ArrivalWithOverlayInto(n, arrOverlay, delayOverlay, ar)
-		f.visits++
-		base := a.Arrival(n)
-		alive := true
-		if !cfg.DisableDeadFrontElision && dist.ApproxEqual(pert, base, 0) {
-			// The perturbation cancelled exactly on this node (an
-			// unperturbed fanin dominates the max); nothing downstream
-			// of it can ever differ. All perturbed parents are at lower
-			// levels and final, so this elision is exact.
-			alive = false
-		}
-		if n == sink {
-			f.sinkDist = pert.Persist()
-			alive = false
-		}
-		if alive {
-			f.perturbed[n] = pert.Persist()
-			f.delta[n] = dist.PerturbationBound(base, pert)
-			f.foLeft[n] = len(g.Out(n))
-			for _, eid := range g.Out(n) {
-				f.schedule(g, g.EdgeAt(eid).To)
-			}
-		}
-		// Consume one fanout slot of every perturbed fanin (Figure 9,
-		// steps 13–18); fully consumed nodes leave the front.
-		for _, eid := range g.In(n) {
-			from := g.EdgeAt(eid).From
-			if _, ok := f.perturbed[from]; !ok {
-				continue
-			}
-			f.foLeft[from]--
-			if f.foLeft[from] == 0 {
-				delete(f.perturbed, from)
-				delete(f.delta, from)
-				delete(f.foLeft, from)
-			}
-		}
-	}
-	f.levels++
-
-	// Advance to the next scheduled level.
-	f.nextLevel = int(^uint(0) >> 1)
-	for l := range f.scheduled {
-		if l < f.nextLevel {
-			f.nextLevel = l
-		}
-	}
-	if len(f.scheduled) == 0 {
-		f.dead = true
-	}
-	// Smx = max Δi over the live front (Theorem 4): an upper bound on
-	// the eventual sink perturbation.
-	f.smx = 0
-	for _, dl := range f.delta {
-		if dl > f.smx {
-			f.smx = dl
-		}
-	}
-}
-
-// frontHeap is a max-heap over Smx (ties: lower gate ID first).
-type frontHeap []*front
+// frontHeap is a max-heap over the bound (ties: lower gate ID first).
+type frontHeap []*ssta.Front
 
 func (h frontHeap) Len() int { return len(h) }
 func (h frontHeap) Less(i, j int) bool {
-	if h[i].smx != h[j].smx {
-		return h[i].smx > h[j].smx
+	if bi, bj := h[i].Bound(), h[j].Bound(); bi != bj {
+		return bi > bj
 	}
-	return h[i].gate < h[j].gate
+	return h[i].Gate() < h[j].Gate()
 }
-func (h frontHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *frontHeap) Push(x any) {
-	f := x.(*front)
-	f.heapIdx = len(*h)
-	*h = append(*h, f)
-}
+func (h frontHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *frontHeap) Push(x any)   { *h = append(*h, x.(*ssta.Front)) }
 func (h *frontHeap) Pop() any {
 	old := *h
 	f := old[len(old)-1]
@@ -223,21 +61,17 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 	deltaW := d.Lib.DeltaW
 	var ir innerResult
 
-	// Front initialization is independent per candidate — each front owns
-	// its overlay maps and only reads the base analysis (PerturbedDelays
-	// is mutation-free) — so the fronts build concurrently. The merge
-	// below runs in candidate order, never completion order: the heap
-	// receives the same fronts in the same sequence as the historical
-	// serial loop, so trajectories stay bit-identical at any parallelism.
+	// Front initialization is independent per candidate — each front
+	// retains only persisted distributions and only reads the base
+	// analysis — so the fronts build concurrently, each on its worker's
+	// scratch. The merge below runs in candidate order, never completion
+	// order: the heap receives the same fronts in the same sequence as
+	// the serial loop, so trajectories stay bit-identical at any
+	// parallelism.
 	cands := candidateGates(d)
-	fronts := make([]*front, len(cands))
-	// The run-lifetime worker scratches carry the kernel arenas: one
-	// per worker for the parallel build, plus the spare the serial heap
-	// loop reuses afterwards; fronts only retain persisted heap
-	// distributions, never arena views.
-	loopArena := ws[len(ws)-1].Arena()
+	fronts := make([]*ssta.Front, len(cands))
 	err := par.RunIndexed(ctx, cfg.Parallelism, len(cands), func(w, i int) error {
-		f, err := newFront(a, cfg, cands[i], ws[w].Arena())
+		f, err := a.NewFront(cands[i], d.Width(cands[i])+deltaW, ws[w])
 		if err != nil {
 			return err
 		}
@@ -249,12 +83,12 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 		// a bare cancellation, matching the serial loop's reporting.
 		return ir, err
 	}
+	// Every front advances on the spare run-lifetime scratch.
+	loop := ws[len(ws)-1]
 	h := make(frontHeap, 0, len(cands))
-	var hintFront *front
+	var hintFront *ssta.Front
 	for i, f := range fronts {
 		ir.considered++
-		ir.nodesVisited += f.visits
-		f.visits = 0
 		if cands[i] == hint {
 			hintFront = f
 			continue
@@ -263,30 +97,28 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 	}
 
 	top := newTopK(cfg.MultiSize)
-	finish := func(f *front) {
+	finish := func(f *ssta.Front) {
 		sens := 0.0
-		if f.sinkDist != nil {
-			sens = (base - cfg.Objective.Eval(f.sinkDist)) / deltaW
+		if f.Sink() != nil {
+			sens = (base - cfg.Objective.Eval(f.Sink())) / deltaW
 		} else {
 			// The perturbation died out before the sink: the sensitivity
 			// is exactly zero and the front stopped early — count it with
 			// the pruning wins.
 			ir.pruned++
 		}
-		top.offer(pick{gate: f.gate, sens: sens})
+		top.offer(pick{gate: f.Gate(), sens: sens})
 	}
 
 	if hintFront != nil {
-		for !hintFront.dead {
+		for !hintFront.Done() {
 			// The hint front runs to the sink outside the heap's pop loop
 			// and its pruning checks, so cancellation must be observed
 			// here: one level of one front is the latency bound.
 			if err := ctx.Err(); err != nil {
 				return ir, err
 			}
-			hintFront.propagateOneLevel(a, cfg, loopArena)
-			ir.nodesVisited += hintFront.visits
-			hintFront.visits = 0
+			hintFront.Advance(loop)
 		}
 		finish(hintFront)
 	}
@@ -299,34 +131,35 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 			}
 		}
 		pops++
-		f := heap.Pop(&h).(*front)
+		f := heap.Pop(&h).(*ssta.Front)
 		// Pruning (Figure 6, step 20): the heap maximum's front bound
 		// Smx = Δmx/Δw dominates every remaining candidate's true
 		// sensitivity, so once it falls below the MultiSize-th exact
 		// sensitivity nothing left can win.
-		if !cfg.DisablePruning && f.smx/deltaW < top.kthSens()-pruneSlack {
+		if f.Bound()/deltaW < top.kthSens()-pruneSlack {
 			ir.pruned += 1 + h.Len()
 			break
 		}
-		if f.dead {
+		if f.Done() {
 			finish(f)
 			continue
 		}
-		if cfg.HeuristicLevels > 0 && f.levels >= cfg.HeuristicLevels {
+		if cfg.HeuristicLevels > 0 && f.Levels() >= cfg.HeuristicLevels {
 			// Future-work heuristic: accept the bound as the sensitivity
 			// estimate without reaching the sink.
-			top.offer(pick{gate: f.gate, sens: f.smx / deltaW})
+			top.offer(pick{gate: f.Gate(), sens: f.Bound() / deltaW})
 			ir.pruned++
 			continue
 		}
-		f.propagateOneLevel(a, cfg, loopArena)
-		ir.nodesVisited += f.visits
-		f.visits = 0
-		if f.dead {
+		f.Advance(loop)
+		if f.Done() {
 			finish(f)
 			continue
 		}
 		heap.Push(&h, f)
+	}
+	for _, f := range fronts {
+		ir.nodesVisited += f.Visits()
 	}
 	ir.picks = top.sorted()
 	if len(ir.picks) > 0 {

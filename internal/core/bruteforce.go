@@ -117,9 +117,7 @@ func statisticalDescent(
 		if len(sized) == 0 {
 			break
 		}
-		if !cfg.DisableWarmStart {
-			hint = sized[0]
-		}
+		hint = sized[0]
 		after := cfg.Objective.Eval(a.SinkDist())
 		rec := IterRecord{
 			Iter:                 iter,

@@ -67,7 +67,7 @@ const pruneSlack = 1e-8
 
 // Config controls one optimization run. The zero value selects the
 // paper's protocol: 99-percentile objective, 600-bin grid, single gate
-// per iteration, pruning and dead-front elision enabled.
+// per iteration.
 type Config struct {
 	// Objective to minimize; default Percentile(0.99).
 	Objective Objective
@@ -101,17 +101,6 @@ type Config struct {
 	// sensitivity — the fast heuristic the paper names as future work.
 	// The exactness guarantee no longer applies.
 	HeuristicLevels int
-	// DisablePruning propagates every front to the sink (ablation).
-	DisablePruning bool
-	// DisableDeadFrontElision keeps propagating fronts whose perturbed
-	// arrivals have collapsed onto the base analysis (ablation).
-	DisableDeadFrontElision bool
-	// DisableWarmStart skips evaluating the previous iteration's winner
-	// first (ablation). The warm start only reorders the inner loop and
-	// never changes results; measurements show the best-first Smx order
-	// already establishes Max_S almost as quickly, so the effect on
-	// visited nodes is within noise (~0.1% on c880).
-	DisableWarmStart bool
 	// OnIteration, when non-nil, observes each completed iteration (used
 	// to trace Figure 10 area-delay curves).
 	OnIteration func(IterRecord)

@@ -7,7 +7,6 @@ import (
 
 	"statsize/internal/cell"
 	"statsize/internal/design"
-	"statsize/internal/dist"
 	"statsize/internal/netlist"
 	"statsize/internal/ssta"
 )
@@ -134,69 +133,6 @@ func TestNeverCommitsNegativeSensitivity(t *testing.T) {
 			t.Fatalf("objective rose at iteration %d: %v -> %v", r.Iter, prev, r.Objective)
 		}
 		prev = r.Objective
-	}
-}
-
-// The perturbation-front bookkeeping must empty out completely when a
-// front is propagated to the end (no leaked nodes).
-func TestFrontDrainsCompletely(t *testing.T) {
-	d := smallDesign(t, 8)
-	cfg := Config{DisablePruning: true}.withDefaults()
-	a, err := ssta.Analyze(context.Background(), d, gridFor(d, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, gid := range candidateGates(d)[:10] {
-		f, err := newFront(a, cfg, gid, dist.NewArena())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for !f.dead {
-			f.propagateOneLevel(a, cfg, dist.NewArena())
-		}
-		if len(f.perturbed) != 0 || len(f.delta) != 0 || len(f.foLeft) != 0 {
-			t.Fatalf("gate %d: front leaked %d/%d/%d entries",
-				gid, len(f.perturbed), len(f.delta), len(f.foLeft))
-		}
-		if len(f.scheduled) != 0 || len(f.inSched) != 0 {
-			t.Fatalf("gate %d: scheduling state leaked", gid)
-		}
-	}
-}
-
-// The warm start only reorders inner-loop evaluation; disabling it must
-// leave the entire trajectory unchanged.
-func TestWarmStartExactness(t *testing.T) {
-	d1 := smallDesign(t, 14)
-	d2 := smallDesign(t, 14)
-	r1, err := runOn(t, d1, Config{MaxIterations: 12}, Accelerated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := runOn(t, d2, Config{MaxIterations: 12, DisableWarmStart: true}, Accelerated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Iterations != r2.Iterations {
-		t.Fatalf("iterations differ: %d vs %d", r1.Iterations, r2.Iterations)
-	}
-	for i := range r1.Records {
-		if r1.Records[i].Gates[0] != r2.Records[i].Gates[0] ||
-			r1.Records[i].Sensitivity != r2.Records[i].Sensitivity {
-			t.Fatalf("iter %d: warm start changed the choice", i)
-		}
-	}
-	// On tiny circuits a stale hint can cost a little extra work (its
-	// front is propagated fully even when mediocre); the win appears on
-	// large circuits where crowded sensitivities make pruning hard. The
-	// overhead must stay bounded either way.
-	v1, v2 := 0, 0
-	for i := range r1.Records {
-		v1 += r1.Records[i].NodesVisited
-		v2 += r2.Records[i].NodesVisited
-	}
-	if float64(v1) > 1.25*float64(v2) {
-		t.Errorf("warm start visited %d nodes vs cold %d (>25%% overhead)", v1, v2)
 	}
 }
 

@@ -9,10 +9,10 @@
 // (Figure 10 of the paper shows it is small, <1% at the 99th
 // percentile).
 //
-// The analysis object also provides the two building blocks the
-// accelerated optimizer needs: cached per-edge delay distributions, and
-// arrival recomputation with overlays (perturbed delays and arrivals
-// supplied by the caller without mutating the base analysis).
+// The analysis object also runs hypothetical resizes without mutating
+// itself: what-if and brute-force propagation over a Scratch overlay,
+// and the accelerated optimizer's level-by-level perturbation fronts
+// (Front) over the same Scratch.
 package ssta
 
 import (
@@ -272,21 +272,6 @@ func (a *Analysis) ArrivalWithOverlay(
 	return a.computeArrival(n, arrOverlay, delayOverlay, nil)
 }
 
-// ArrivalWithOverlayInto is ArrivalWithOverlay computing through the
-// caller's arena, for the accelerated optimizer's perturbation fronts:
-// the returned distribution is scratch (Persist before retaining it)
-// unless it is one of the base/overlay operands returned by a dominance
-// shortcut.
-func (a *Analysis) ArrivalWithOverlayInto(
-	n graph.NodeID,
-	arrOverlay func(graph.NodeID) *dist.Dist,
-	delayOverlay func(graph.EdgeID) *dist.Dist,
-	ar *dist.Arena,
-) *dist.Dist {
-	//lint:allow statlint/scratchescape returning scratch is this method's documented contract: the *Into suffix hands ownership to the arena-passing caller
-	return a.computeArrival(n, arrOverlay, delayOverlay, ar)
-}
-
 // Arrival returns the arrival distribution at a node.
 func (a *Analysis) Arrival(n graph.NodeID) *dist.Dist { return a.arrival[n] }
 
@@ -366,7 +351,9 @@ func (a *Analysis) ResizeCommit(ctx context.Context, x netlist.GateID) (int, err
 
 // PerturbedDelays returns the delay distributions that change when gate
 // x is resized to w — the pin edges of x and of the drivers of x's input
-// nets (Figure 7, step 1). The evaluation is mutation-free: the
+// nets (Figure 7, step 1) — as a map: the reference the exactness tests
+// check the propagation paths against, which load the same delays
+// straight into a Scratch. The evaluation is mutation-free: the
 // hypothetical width is applied functionally through
 // design.EdgeDelayDistAtWidths, the design is never touched, and the
 // distributions are bit-identical to what the historical
@@ -402,14 +389,15 @@ func (a *Analysis) perturbedDelays(affected []netlist.GateID, x netlist.GateID, 
 }
 
 // Scratch is the reusable state of the perturbation propagation shared
-// by WhatIf, the brute-force sweep (WhatIfFull) and ResizeCommit: a
-// kernel arena, the current candidate's affected gates, and dense
-// per-node and per-edge overlay slots. A slot is live only while its
-// stamp equals the scratch's epoch, so starting a propagation is one
-// increment rather than a clear, and a warm sweep allocates only what
-// escapes (the persisted sink distribution). The slots are sized on
-// the first propagation, not at construction, so an idle Scratch costs
-// one empty arena. One Scratch serves one goroutine at a time; parallel
+// by WhatIf, the brute-force sweep (WhatIfFull), ResizeCommit and the
+// accelerated optimizer's fronts (each Front level advance is one
+// propagation): a kernel arena, the current candidate's affected gates,
+// and dense per-node and per-edge overlay slots. A slot is live only
+// while its stamp equals the scratch's epoch, so starting a propagation
+// is one increment rather than a clear, and a warm sweep allocates only
+// what escapes (the persisted sink distribution). The slots are sized
+// on the first propagation, not at construction, so an idle Scratch
+// costs one empty arena. One Scratch serves one goroutine at a time; parallel
 // sweeps hold one per worker.
 type Scratch struct {
 	ar    *dist.Arena
@@ -424,11 +412,6 @@ type Scratch struct {
 
 // NewScratch returns an empty Scratch; its slots are sized on first use.
 func NewScratch() *Scratch { return &Scratch{ar: dist.NewArena()} }
-
-// Arena returns the scratch's kernel arena, for callers that run their
-// own propagation (the accelerated optimizer's fronts) on the same
-// per-worker state.
-func (sc *Scratch) Arena() *dist.Arena { return sc.ar }
 
 // begin starts a propagation over graph g: rewinds the arena, sizes the
 // slots to g on first use and opens a fresh epoch, which retires every
@@ -459,6 +442,12 @@ func (sc *Scratch) markDirty(n graph.NodeID) {
 }
 
 func (sc *Scratch) dirty(n graph.NodeID) bool { return sc.nodeStamp[n] == sc.epoch }
+
+// setArrival installs node n's perturbed arrival for this propagation.
+func (sc *Scratch) setArrival(n graph.NodeID, d *dist.Dist) {
+	sc.nodeStamp[n] = sc.epoch
+	sc.arr[n] = d
+}
 
 // arrival returns node n's perturbed arrival, or nil where the base
 // analysis applies.

@@ -86,3 +86,38 @@ func TestGoldenTraces(t *testing.T) {
 		}
 	}
 }
+
+// TestOptimizerTracesIndependentOfWorkers runs the candidate-sweeping
+// optimizers on c880 serially and with three workers: the traces,
+// visit and pruning counts included, must be byte-identical. Results
+// merge in candidate order, never completion order, so the worker
+// count may only change how fast they arrive.
+func TestOptimizerTracesIndependentOfWorkers(t *testing.T) {
+	eng, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []string{"accelerated", "brute-force"} {
+		t.Run(opt, func(t *testing.T) {
+			var traces []string
+			for _, workers := range []int{1, 3} {
+				d, err := eng.Benchmark("c880")
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := eng.Optimize(context.Background(), d, opt,
+					WithConfig(Config{MaxIterations: 3, Bins: 400, Parallelism: workers}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Iterations == 0 {
+					t.Fatalf("%d workers: no iterations", workers)
+				}
+				traces = append(traces, formatTrace("c880", opt, res))
+			}
+			if traces[0] != traces[1] {
+				t.Errorf("trace with 3 workers differs from the serial one:\n serial:\n%s\n 3 workers:\n%s", traces[0], traces[1])
+			}
+		})
+	}
+}
